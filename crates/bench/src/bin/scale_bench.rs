@@ -5,24 +5,26 @@
 //! fat-tree scale point (k = 36 → 11664 hosts in full mode), and a
 //! multipath fat-tree whose cross-pod flows spray over every
 //! equal-cost uplink while edge and aggregation links flap (ECMP
-//! forwarding plus selection-time reroute at scale) —
-//! under six scheduling variants: the reference binary-heap scheduler,
-//! the timing wheel with batch dispatch off, the timing wheel with
-//! same-tick batch coalescing (the default), and the sharded
-//! lookahead-window scheduler at 1, 2, and 4 extraction threads. For
-//! each scenario, it checks all variants produced *identical*
-//! simulations (same event count, same delivered bytes) and records
-//! wall-clock events/sec, writing `results/bench/BENCH_scale.json`.
+//! forwarding plus selection-time reroute at scale) — under both
+//! scheduler backends: the reference binary heap and the timing wheel
+//! (the default). For each scenario, it checks both produced
+//! *identical* simulations (same event count, same delivered bytes)
+//! and writes `results/bench/BENCH_scale.json`.
 //!
-//! Each scenario also re-runs the default variant with flow-sampled
-//! lifecycle tracing on (16/1000 flows), asserting the traced
-//! simulation is outcome-identical to the untraced one and recording
-//! the wall-clock ratio as `trace_overhead` (1.0 = free; the CI smoke
+//! Every run is timed in two parts. *Setup* covers the topology and
+//! route build, `Simulator::new` and flow install, and is reported per
+//! row as `setup_ms` (from the wheel run). *Simulation* is `sim.run()`
+//! alone: every `*_wall_ms` and `*_events_per_sec` figure counts only
+//! that part, so route build at fat-tree scale does not dilute the
+//! event rate.
+//!
+//! Each scenario also re-runs the wheel with flow-sampled lifecycle
+//! tracing on (16/1000 flows), asserting the traced simulation is
+//! outcome-identical to the untraced one and recording the simulation
+//! wall-clock ratio as `trace_overhead` (1.0 = free; the CI smoke
 //! bounds the leaf-spine value at 1.10).
 //!
 //! `--quick` shortens every horizon for CI smoke use (`scripts/verify.sh`).
-//! `--sharded-det` instead exports two same-seed 4-thread sharded runs
-//! for the verify.sh byte-determinism gate (`tfc-trace diff`).
 
 use std::time::Instant;
 
@@ -39,30 +41,46 @@ use telemetry::export::{git_describe, results_dir};
 use telemetry::json::{self, Value};
 use telemetry::{TelemetryConfig, TraceConfig};
 
-/// One scenario, parameterized by the scheduler backend, whether
-/// same-tick batch dispatch is on, and the lifecycle-trace mode.
+/// One scenario, parameterized by the scheduler backend and the
+/// lifecycle-trace mode.
 struct Scenario {
     name: &'static str,
     hosts: usize,
     flows: usize,
     sim_ms: u64,
-    run: Box<dyn Fn(SchedulerKind, bool, TraceConfig) -> (u64, u64)>,
+    run: Box<dyn Fn(SchedulerKind, TraceConfig) -> Timed>,
 }
 
-/// Variant-agnostic run outcome used for the cross-variant identity
-/// check: `(events_processed, total delivered bytes)`.
-fn outcome<A: simnet::app::Application>(sim: &Simulator<A>) -> (u64, u64) {
-    (
-        sim.core().events_processed(),
-        sim.core().flows().map(|(_, st)| st.delivered).sum(),
-    )
+/// One timed run: the backend-agnostic outcome used for the
+/// cross-variant identity check, `(events_processed, total delivered
+/// bytes)`, plus setup and simulation wall time in seconds.
+struct Timed {
+    out: (u64, u64),
+    setup_secs: f64,
+    run_secs: f64,
 }
 
-fn cfg(kind: SchedulerKind, coalesce: bool, end_ms: u64, trace: TraceConfig) -> SimConfig {
+/// Closes the setup phase a scenario opened at `t0`, then times
+/// `sim.run()` on its own.
+fn finish<A: simnet::app::Application>(t0: Instant, mut sim: Simulator<A>) -> Timed {
+    let setup_secs = t0.elapsed().as_secs_f64();
+    let t1 = Instant::now();
+    sim.run();
+    let run_secs = t1.elapsed().as_secs_f64();
+    Timed {
+        out: (
+            sim.core().events_processed(),
+            sim.core().flows().map(|(_, st)| st.delivered).sum(),
+        ),
+        setup_secs,
+        run_secs,
+    }
+}
+
+fn cfg(kind: SchedulerKind, end_ms: u64, trace: TraceConfig) -> SimConfig {
     SimConfig {
         end: Some(Time(Dur::millis(end_ms).as_nanos())),
         scheduler: kind,
-        coalesce,
         telemetry: TelemetryConfig {
             trace,
             ..Default::default()
@@ -79,7 +97,8 @@ fn leaf_spine_360(sim_ms: u64, flows: usize) -> Scenario {
         hosts: 360,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
+            let t0 = Instant::now();
             let (t, hosts, _) = leaf_spine(
                 18,
                 20,
@@ -92,7 +111,7 @@ fn leaf_spine_360(sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             let mut rng = rng::rngs::StdRng::seed_from_u64(2024);
             for _ in 0..flows {
@@ -104,8 +123,7 @@ fn leaf_spine_360(sim_ms: u64, flows: usize) -> Scenario {
                 let bytes = rng.gen_range(20_000u64..2_000_000);
                 sim.core_mut().start_flow(FlowSpec::sized(src, dst, bytes));
             }
-            sim.run();
-            outcome(&sim)
+            finish(t0, sim)
         }),
     }
 }
@@ -117,7 +135,8 @@ fn incast_fanin(sim_ms: u64, senders: usize) -> Scenario {
         hosts: senders + 1,
         flows: senders,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
+            let t0 = Instant::now();
             let (t, hosts, _) = star(senders + 1, Bandwidth::gbps(10), Dur::micros(10));
             let receiver = hosts[0];
             let net = t.build(tfc::TfcSwitchPolicy::factory(Default::default()));
@@ -125,7 +144,7 @@ fn incast_fanin(sim_ms: u64, senders: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             for (i, &src) in hosts[1..].iter().enumerate() {
                 sim.core_mut().start_flow(FlowSpec::sized(
@@ -134,8 +153,7 @@ fn incast_fanin(sim_ms: u64, senders: usize) -> Scenario {
                     400_000 + 4_000 * i as u64,
                 ));
             }
-            sim.run();
-            outcome(&sim)
+            finish(t0, sim)
         }),
     }
 }
@@ -148,7 +166,8 @@ fn chaos_leaf_spine(sim_ms: u64, flows: usize) -> Scenario {
         hosts: 48,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
+            let t0 = Instant::now();
             let (t, hosts, switches) = leaf_spine(
                 6,
                 8,
@@ -161,7 +180,7 @@ fn chaos_leaf_spine(sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             for i in 0..flows {
                 let src = hosts[i % hosts.len()];
@@ -176,8 +195,7 @@ fn chaos_leaf_spine(sim_ms: u64, flows: usize) -> Scenario {
                 .loss_burst(Time(9_000_000), Dur::millis(1), leaf, 2, 250)
                 .policy_reset(Time(12_000_000), leaf, 3)
                 .install(sim.core_mut());
-            sim.run();
-            outcome(&sim)
+            finish(t0, sim)
         }),
     }
 }
@@ -192,7 +210,8 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
         hosts: k * k * k / 4,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
+            let t0 = Instant::now();
             let (t, hosts, _) = fat_tree(
                 k,
                 Bandwidth::gbps(10),
@@ -204,7 +223,7 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             let mut rng = rng::rngs::StdRng::seed_from_u64(4099);
             for _ in 0..flows {
@@ -216,8 +235,7 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 let bytes = rng.gen_range(20_000u64..400_000);
                 sim.core_mut().start_flow(FlowSpec::sized(src, dst, bytes));
             }
-            sim.run();
-            outcome(&sim)
+            finish(t0, sim)
         }),
     }
 }
@@ -225,17 +243,18 @@ fn fat_tree_scale(k: usize, sim_ms: u64, flows: usize) -> Scenario {
 /// Multipath fat-tree with route churn: a deterministic cross-pod flow
 /// matrix sprays over every equal-cost uplink via the `(flow, hop)`
 /// ECMP hash while one edge uplink and one aggregation-core link flap
-/// mid-run, forcing selection-time reroutes. The cross-variant identity
-/// check then doubles as a scale-sized proof that route churn does not
-/// break sharded lookahead determinism. Quick CI smoke uses k = 8;
-/// full mode k = 16 (1024 hosts).
+/// mid-run, forcing selection-time reroutes. The heap/wheel identity
+/// check then doubles as a scale-sized proof that route churn is
+/// schedule-stable. Quick CI smoke uses k = 8; full mode k = 16
+/// (1024 hosts).
 fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
     Scenario {
         name: "fat_tree_multipath",
         hosts: k * k * k / 4,
         flows,
         sim_ms,
-        run: Box::new(move |kind, coalesce, trace| {
+        run: Box::new(move |kind, trace| {
+            let t0 = Instant::now();
             let (t, hosts, switches) = fat_tree(
                 k,
                 Bandwidth::gbps(10),
@@ -247,7 +266,7 @@ fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 net,
                 Box::new(tfc::TfcStack::default()),
                 NullApp,
-                cfg(kind, coalesce, sim_ms, trace),
+                cfg(kind, sim_ms, trace),
             );
             let n = hosts.len();
             for i in 0..flows {
@@ -268,8 +287,7 @@ fn fat_tree_multipath(k: usize, sim_ms: u64, flows: usize) -> Scenario {
                 .link_flap(Time(1_000_000), Dur::millis(1), edge0, 0)
                 .link_flap(Time(2_500_000), Dur::micros(800), agg0, 0)
                 .install(sim.core_mut());
-            sim.run();
-            outcome(&sim)
+            finish(t0, sim)
         }),
     }
 }
@@ -280,51 +298,28 @@ struct Row {
     flows: usize,
     sim_ms: u64,
     events: u64,
+    /// Topology and route build, `Simulator::new` and flow install.
+    setup_ms: f64,
     heap_wall_ms: f64,
-    wheel_nobatch_wall_ms: f64,
     wheel_wall_ms: f64,
     heap_events_per_sec: f64,
-    wheel_nobatch_events_per_sec: f64,
     wheel_events_per_sec: f64,
-    /// Wheel+batching vs reference heap.
+    /// Wheel vs reference heap.
     speedup: f64,
-    /// Wheel+batching vs wheel without batching (batching alone).
-    batch_speedup: f64,
-    /// Sharded scheduler wall time at 1, 2, and 4 extraction threads.
-    sharded_wall_ms: [f64; 3],
-    sharded_events_per_sec: [f64; 3],
-    /// Sharded at 4 threads vs the reference heap.
-    sharded_speedup: f64,
-    /// Sharded at 4 threads vs sharded at 1 thread: what parallel
-    /// window extraction alone buys (handler execution stays
-    /// sequential to preserve byte-determinism, so this isolates the
-    /// scheduler's share of the wall clock).
-    sharded_thread_scaling: f64,
     traced_wall_ms: f64,
     traced_events_per_sec: f64,
-    /// Wheel+batching with sampled lifecycle tracing vs without.
+    /// Wheel with sampled lifecycle tracing vs without.
     trace_overhead: f64,
 }
 
 fn bench(s: &Scenario) -> Row {
-    let timed = |kind, coalesce, trace| {
-        let t0 = Instant::now();
-        let out = (s.run)(kind, coalesce, trace);
-        (out, t0.elapsed().as_secs_f64())
-    };
-    let (heap_out, heap_secs) = timed(SchedulerKind::RefHeap, false, TraceConfig::Off);
-    let (nobatch_out, nobatch_secs) = timed(SchedulerKind::Wheel, false, TraceConfig::Off);
-    let (wheel_out, wheel_secs) = timed(SchedulerKind::Wheel, true, TraceConfig::Off);
-    let mut sharded_secs = [0.0f64; 3];
-    for (i, threads) in [1usize, 2, 4].into_iter().enumerate() {
-        let (out, secs) = timed(SchedulerKind::Sharded { threads }, true, TraceConfig::Off);
-        assert_eq!(
-            heap_out, out,
-            "{}: sharded({threads} threads) diverged from heap (events, delivered)",
-            s.name
-        );
-        sharded_secs[i] = secs;
-    }
+    let heap = (s.run)(SchedulerKind::RefHeap, TraceConfig::Off);
+    let wheel = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
+    assert_eq!(
+        heap.out, wheel.out,
+        "{}: wheel diverged from heap (events, delivered)",
+        s.name
+    );
     // The overhead ratio is measured in adjacent traced/untraced pairs
     // and reported as the minimum per-pair ratio: single wall-clock
     // samples on shared machines swing by double digits, but two runs
@@ -339,46 +334,30 @@ fn bench(s: &Scenario) -> Row {
     let mut traced_best = f64::INFINITY;
     let mut overhead = f64::INFINITY;
     for _ in 0..3 {
-        let (traced_out, traced_secs) = timed(SchedulerKind::Wheel, true, sampled);
+        let traced = (s.run)(SchedulerKind::Wheel, sampled);
         assert_eq!(
-            wheel_out, traced_out,
+            wheel.out, traced.out,
             "{}: sampled tracing changed the simulation (events, delivered)",
             s.name
         );
-        traced_best = traced_best.min(traced_secs);
-        let (out, untraced_secs) = timed(SchedulerKind::Wheel, true, TraceConfig::Off);
-        assert_eq!(wheel_out, out, "{}: rerun diverged", s.name);
-        overhead = overhead.min(traced_secs / untraced_secs);
+        traced_best = traced_best.min(traced.run_secs);
+        let untraced = (s.run)(SchedulerKind::Wheel, TraceConfig::Off);
+        assert_eq!(wheel.out, untraced.out, "{}: rerun diverged", s.name);
+        overhead = overhead.min(traced.run_secs / untraced.run_secs);
     }
-    assert_eq!(
-        heap_out, nobatch_out,
-        "{}: wheel diverged from heap (events, delivered)",
-        s.name
-    );
-    assert_eq!(
-        heap_out, wheel_out,
-        "{}: batched wheel diverged from heap (events, delivered)",
-        s.name
-    );
-    let events = heap_out.0;
+    let events = heap.out.0;
     Row {
         name: s.name,
         hosts: s.hosts,
         flows: s.flows,
         sim_ms: s.sim_ms,
         events,
-        heap_wall_ms: heap_secs * 1e3,
-        wheel_nobatch_wall_ms: nobatch_secs * 1e3,
-        wheel_wall_ms: wheel_secs * 1e3,
-        heap_events_per_sec: events as f64 / heap_secs,
-        wheel_nobatch_events_per_sec: events as f64 / nobatch_secs,
-        wheel_events_per_sec: events as f64 / wheel_secs,
-        speedup: heap_secs / wheel_secs,
-        batch_speedup: nobatch_secs / wheel_secs,
-        sharded_wall_ms: sharded_secs.map(|s| s * 1e3),
-        sharded_events_per_sec: sharded_secs.map(|s| events as f64 / s),
-        sharded_speedup: heap_secs / sharded_secs[2],
-        sharded_thread_scaling: sharded_secs[0] / sharded_secs[2],
+        setup_ms: wheel.setup_secs * 1e3,
+        heap_wall_ms: heap.run_secs * 1e3,
+        wheel_wall_ms: wheel.run_secs * 1e3,
+        heap_events_per_sec: events as f64 / heap.run_secs,
+        wheel_events_per_sec: events as f64 / wheel.run_secs,
+        speedup: heap.run_secs / wheel.run_secs,
         traced_wall_ms: traced_best * 1e3,
         traced_events_per_sec: events as f64 / traced_best,
         trace_overhead: overhead,
@@ -392,85 +371,19 @@ fn row_json(r: &Row) -> Value {
         "flows": r.flows as u64,
         "sim_ms": r.sim_ms,
         "events": r.events,
+        "setup_ms": r.setup_ms,
         "heap_wall_ms": r.heap_wall_ms,
-        "wheel_nobatch_wall_ms": r.wheel_nobatch_wall_ms,
         "wheel_wall_ms": r.wheel_wall_ms,
         "heap_events_per_sec": r.heap_events_per_sec,
-        "wheel_nobatch_events_per_sec": r.wheel_nobatch_events_per_sec,
         "wheel_events_per_sec": r.wheel_events_per_sec,
         "speedup": r.speedup,
-        "batch_speedup": r.batch_speedup,
-        "sharded1_wall_ms": r.sharded_wall_ms[0],
-        "sharded2_wall_ms": r.sharded_wall_ms[1],
-        "sharded4_wall_ms": r.sharded_wall_ms[2],
-        "sharded1_events_per_sec": r.sharded_events_per_sec[0],
-        "sharded2_events_per_sec": r.sharded_events_per_sec[1],
-        "sharded4_events_per_sec": r.sharded_events_per_sec[2],
-        "sharded_speedup": r.sharded_speedup,
-        "sharded_thread_scaling": r.sharded_thread_scaling,
         "traced_wall_ms": r.traced_wall_ms,
         "traced_events_per_sec": r.traced_events_per_sec,
         "trace_overhead": r.trace_overhead,
     })
 }
 
-/// `--sharded-det`: exports two same-seed 4-thread sharded chaos
-/// leaf-spine runs with full event/flow/slot telemetry for the
-/// verify.sh determinism gate, which byte-compares them with
-/// `tfc-trace diff`. Profiling stays off — wall-clock timings are
-/// never comparable across runs.
-fn sharded_det_export() {
-    for name in ["sharded-det-a", "sharded-det-b"] {
-        let (t, hosts, switches) = leaf_spine(
-            6,
-            8,
-            Bandwidth::gbps(1),
-            Bandwidth::gbps(10),
-            Dur::micros(20),
-        );
-        let net = t.build(tfc::TfcSwitchPolicy::factory(Default::default()));
-        let cfg = SimConfig {
-            end: Some(Time(Dur::millis(10).as_nanos())),
-            scheduler: SchedulerKind::Sharded { threads: 4 },
-            coalesce: true,
-            telemetry: TelemetryConfig {
-                events: telemetry::LogMode::Full,
-                sample_one_in: 1,
-                tfc_gauges: true,
-                profile: false,
-                trace: TraceConfig::Full,
-                export: Some(name.to_string()),
-            },
-            ..Default::default()
-        };
-        let mut sim = Simulator::new(net, Box::new(tfc::TfcStack::default()), NullApp, cfg);
-        for i in 0..32 {
-            let src = hosts[i % hosts.len()];
-            let dst = hosts[(i + 13) % hosts.len()];
-            sim.core_mut()
-                .start_flow(FlowSpec::sized(src, dst, 80_000 + 555 * i as u64));
-        }
-        let leaf = switches[1];
-        FaultTimeline::new()
-            .link_flap(Time(2_000_000), Dur::millis(1), leaf, 0)
-            .host_stall(Time(5_000_000), Dur::millis(2), hosts[5])
-            .install(sim.core_mut());
-        sim.run();
-        let dir = experiments::artifacts::maybe_export(
-            sim.core(),
-            "leaf_spine(6x8)",
-            "sharded determinism smoke",
-        )
-        .expect("export directory");
-        println!("{}", dir.display());
-    }
-}
-
 fn main() {
-    if std::env::args().any(|a| a == "--sharded-det") {
-        sharded_det_export();
-        return;
-    }
     let quick = std::env::args().any(|a| a == "--quick");
     let scenarios = if quick {
         vec![
@@ -495,22 +408,13 @@ fn main() {
         eprintln!("running {} ({} hosts, {} flows, {} ms)...", s.name, s.hosts, s.flows, s.sim_ms);
         let row = bench(s);
         eprintln!(
-            "  {} events; heap {:.0} ev/s, wheel {:.0} ev/s, wheel+batch {:.0} ev/s, speedup {:.2}x (batching {:.2}x), trace overhead {:.3}x",
+            "  {} events; setup {:.0} ms, heap {:.0} ev/s, wheel {:.0} ev/s, speedup {:.2}x, trace overhead {:.3}x",
             row.events,
+            row.setup_ms,
             row.heap_events_per_sec,
-            row.wheel_nobatch_events_per_sec,
             row.wheel_events_per_sec,
             row.speedup,
-            row.batch_speedup,
             row.trace_overhead,
-        );
-        eprintln!(
-            "  sharded 1/2/4 threads: {:.0}/{:.0}/{:.0} ev/s, {:.2}x vs heap at 4t, thread scaling {:.2}x",
-            row.sharded_events_per_sec[0],
-            row.sharded_events_per_sec[1],
-            row.sharded_events_per_sec[2],
-            row.sharded_speedup,
-            row.sharded_thread_scaling,
         );
         rows.push(row);
     }
@@ -519,26 +423,22 @@ fn main() {
         .iter()
         .find(|r| r.name == "leaf_spine_360")
         .expect("leaf-spine scenario present");
-    // Sharded thread-sweep numbers are only interpretable relative to
-    // the machine: record how many hardware threads it advertises and
-    // how many the suite actually keeps busy at the sweep's widest
-    // point (the sequential dispatch thread plus the 4 extraction
-    // workers of `Sharded { threads: 4 }`). `available_parallelism`
-    // is 0 when the platform cannot say.
+    // Record how many hardware threads the machine advertises next to
+    // how many the suite keeps busy (one: the event loop is sequential).
+    // `available_parallelism` is 0 when the platform cannot say.
     let available_parallelism = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(0);
     let mut doc = telemetry::json!({
-        "schema": "tfc-bench-scale/v6",
+        "schema": "tfc-bench-scale/v7",
         "mode": if quick { "quick" } else { "full" },
         "git": git_describe().as_str(),
         "host": telemetry::json!({
             "available_parallelism": available_parallelism,
-            "active_threads": 1u64 + 4,
+            "active_threads": 1u64,
         }),
         "scenarios": Value::Array(rows.iter().map(row_json).collect()),
         "leaf_spine_speedup": leaf.speedup,
-        "leaf_spine_sharded_speedup": leaf.sharded_speedup,
         "trace_overhead": leaf.trace_overhead,
     });
 
@@ -564,7 +464,7 @@ fn main() {
         .expect("BENCH_scale.json parses");
     assert_eq!(
         parsed.get("schema").and_then(Value::as_str),
-        Some("tfc-bench-scale/v6")
+        Some("tfc-bench-scale/v7")
     );
     let host = parsed.get("host").expect("host block present");
     for key in ["available_parallelism", "active_threads"] {
@@ -589,13 +489,9 @@ fn main() {
     assert!(!scen.is_empty(), "no scenarios recorded");
     for s in scen {
         for key in [
+            "setup_ms",
             "heap_events_per_sec",
-            "wheel_nobatch_events_per_sec",
             "wheel_events_per_sec",
-            "sharded1_events_per_sec",
-            "sharded2_events_per_sec",
-            "sharded4_events_per_sec",
-            "sharded_speedup",
             "traced_events_per_sec",
             "trace_overhead",
         ] {

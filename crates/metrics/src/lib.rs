@@ -7,11 +7,9 @@
 //! * empirical CDFs ([`Cdf`]),
 //! * time series and fixed-window rate meters ([`TimeSeries`],
 //!   [`RateMeter`]),
-//! * exponentially weighted moving averages ([`Ewma`]),
 //! * summary statistics ([`Summary`]),
 //! * flow-completion-time bookkeeping with the paper's size bins
 //!   ([`FctCollector`], [`SizeBin`]),
-//! * logarithmic histograms for latency shapes ([`Histogram`]),
 //! * mergeable streaming quantile sketches with bounded memory and a
 //!   relative error guarantee ([`QuantileSketch`]).
 //!
@@ -19,9 +17,7 @@
 //! this crate knows nothing about the network simulator.
 
 pub mod cdf;
-pub mod ewma;
 pub mod fct;
-pub mod histogram;
 pub mod percentile;
 pub mod rate;
 pub mod sketch;
@@ -29,9 +25,7 @@ pub mod summary;
 pub mod timeseries;
 
 pub use cdf::{Cdf, PiecewiseCdf};
-pub use ewma::Ewma;
 pub use fct::{FctCollector, FctSummary, FlowRecord, SizeBin};
-pub use histogram::Histogram;
 pub use percentile::Sampler;
 pub use rate::RateMeter;
 pub use sketch::QuantileSketch;

@@ -58,11 +58,6 @@ pub struct SimConfig {
     /// reference heap exists for equivalence tests and benchmarks, and
     /// both produce byte-identical runs (see [`crate::sched`]).
     pub scheduler: SchedulerKind,
-    /// Coalesce consecutive same-time switch arrivals on the same port
-    /// into one batched dispatch (on by default). Off-path: per-event
-    /// dispatch, kept for equivalence tests and benchmarks — both modes
-    /// produce byte-identical runs (see [`crate::handlers`]).
-    pub coalesce: bool,
     /// Bounded-memory flow retirement (off by default): completed flows
     /// fold into per-class quantile sketches and free all per-flow
     /// state, with ids recycled after a quarantine. Required for the
@@ -79,7 +74,6 @@ impl Default for SimConfig {
             packet_log: 0,
             telemetry: TelemetryConfig::default(),
             scheduler: SchedulerKind::default(),
-            coalesce: true,
             retire: None,
         }
     }
@@ -191,14 +185,10 @@ pub struct SimCore {
     pub(crate) cfg: SimConfig,
     pub(crate) stopped: bool,
     pub(crate) fct: FctCollector,
-    pub(crate) events_processed: u64,
     pub(crate) packet_log: VecDeque<PacketLogEntry>,
     pub(crate) telemetry: Telemetry,
     /// Every in-flight packet, slab-allocated; events carry ids into it.
     pub(crate) packets: PacketArena,
-    /// Reusable scratch for coalesced arrival batches (see
-    /// [`crate::handlers`]); empty between dispatches.
-    pub(crate) arrival_batch: Vec<PacketId>,
 }
 
 /// The simulator: a [`SimCore`] plus the workload application.
@@ -554,7 +544,7 @@ impl SimCore {
 
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.telemetry.loop_stats.total()
     }
 
     /// The packet-event log (empty unless [`SimConfig::packet_log`] set).
@@ -817,18 +807,10 @@ impl<A: Application> Simulator<A> {
         let telemetry = Telemetry::new(&cfg.telemetry, cfg.seed, &Event::KIND_NAMES);
         let policy_timers = net.nodes.iter().map(|_| Vec::new()).collect();
         let retirer = cfg.retire.clone().map(FlowRetirer::new);
-        let mut events = EventQueue::with_kind(cfg.scheduler);
-        if let SchedulerKind::Sharded { threads } = cfg.scheduler {
-            // Partition the fabric per switch (hosts ride with their
-            // switch) and use the minimum cross-shard link delay as the
-            // scheduler's conservative lookahead window.
-            let plan = crate::topology::shard_plan(&net.nodes, &net.switches, threads);
-            events.configure_shards(plan.shard_of, plan.shards, plan.min_cut_delay.as_nanos());
-        }
         Self {
             core: SimCore {
                 now: Time::ZERO,
-                events,
+                events: EventQueue::with_kind(cfg.scheduler),
                 nodes: net.nodes,
                 hosts: net.hosts,
                 switches: net.switches,
@@ -847,11 +829,9 @@ impl<A: Application> Simulator<A> {
                 cfg,
                 stopped: false,
                 fct: FctCollector::new(),
-                events_processed: 0,
                 packet_log: VecDeque::new(),
                 telemetry,
                 packets: PacketArena::new(),
-                arrival_batch: Vec::new(),
             },
             app,
         }
@@ -885,14 +865,6 @@ impl<A: Application> Simulator<A> {
             if let Some(m) = &mut state.meter {
                 m.flush(now.nanos());
             }
-        }
-        // Fold the sharded scheduler's per-shard counters into the loop
-        // stats (shard-index order, so the merge is deterministic).
-        if let Some((windows, shards)) = self.core.events.shard_stats() {
-            self.core.telemetry.loop_stats.set_shards(
-                windows,
-                shards.iter().map(|s| (s.pushes, s.drained)).collect(),
-            );
         }
     }
 
