@@ -116,7 +116,7 @@ const ECMP_TAG: u16 = 1 << 15;
 /// same few uplink sets across thousands of destinations (a k-ary
 /// fat-tree edge switch has exactly one distinct uplink set), so the
 /// pool stays tiny and a 10k-host table is still ~22 KB per switch.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RouteTable {
     /// One entry per destination node id.
     entries: Vec<u16>,
@@ -182,10 +182,28 @@ impl RouteTable {
     /// sorted ascending and duplicate-free; empty clears the entry back
     /// to [`NO_ROUTE`]. Multi-port sets are deduplicated into the pool.
     pub fn set(&mut self, dst: usize, ports: &[u16]) {
-        if self.entries.len() <= dst {
-            self.entries.resize(dst + 1, NO_ROUTE);
+        self.set_many(&[dst], ports);
+    }
+
+    /// [`set`](Self::set) for every destination in `dsts` at once: one
+    /// pool lookup, then the same entry copied to each destination.
+    pub fn set_many(&mut self, dsts: &[usize], ports: &[u16]) {
+        let Some(&max) = dsts.iter().max() else {
+            return;
+        };
+        if self.entries.len() <= max {
+            self.entries.resize(max + 1, NO_ROUTE);
         }
-        self.entries[dst] = match ports {
+        let entry = self.entry_for(ports);
+        for &dst in dsts {
+            self.entries[dst] = entry;
+        }
+    }
+
+    /// The entry encoding `ports`, adding a multi-port set to the pool
+    /// on first sight.
+    fn entry_for(&mut self, ports: &[u16]) -> u16 {
+        match ports {
             [] => NO_ROUTE,
             &[p] => {
                 assert!(p < ECMP_TAG, "port index {p} collides with the ECMP tag");
@@ -211,7 +229,7 @@ impl RouteTable {
                 );
                 ECMP_TAG | idx as u16
             }
-        };
+        }
     }
 
     /// The next-hop candidates toward `dst`.
@@ -459,6 +477,31 @@ mod tests {
         assert_eq!(rt.next_hops(NodeId(0)), NextHops::None);
         assert_eq!(NextHops::Ecmp(&[1, 2]).len(), 2);
         assert!(NextHops::None.is_empty());
+    }
+
+    #[test]
+    fn set_many_equals_repeated_set() {
+        let mut one = RouteTable::unreachable(2);
+        let mut many = RouteTable::unreachable(2);
+        for (dsts, ports) in [
+            (&[1usize, 4][..], &[2u16, 5][..]),
+            (&[0, 3], &[1, 2]),
+            (&[2], &[7]),
+            (&[6, 5], &[2, 5]),
+            (&[], &[3, 4]),
+        ] {
+            for &d in dsts {
+                one.set(d, ports);
+            }
+            many.set_many(dsts, ports);
+        }
+        assert_eq!(one, many);
+        assert_eq!(
+            many.sets,
+            vec![vec![2, 5], vec![1, 2]],
+            "pool in first-seen order"
+        );
+        assert_eq!(many.next_hops(NodeId(6)), NextHops::Ecmp(&[2, 5]));
     }
 
     #[test]

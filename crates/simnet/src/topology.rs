@@ -50,6 +50,24 @@ pub enum TopologyError {
         /// The destination host it cannot reach.
         unreachable: NodeId,
     },
+    /// A link from a node to itself.
+    SelfLink {
+        /// The node linked to itself.
+        node: NodeId,
+    },
+    /// A link names a node the builder never created.
+    UnknownNode {
+        /// The id with no node behind it.
+        node: NodeId,
+    },
+    /// A node has more ports than a route-table entry can name: port
+    /// indices must stay below the `u16` entries' ECMP tag bit (2^15).
+    TooManyPorts {
+        /// The offending node's id.
+        node: NodeId,
+        /// How many ports it has.
+        ports: usize,
+    },
 }
 
 impl std::fmt::Display for TopologyError {
@@ -68,6 +86,16 @@ impl std::fmt::Display for TopologyError {
                     node.0, unreachable.0
                 )
             }
+            TopologyError::SelfLink { node } => {
+                write!(f, "self-link on node {} is not allowed", node.0)
+            }
+            TopologyError::UnknownNode { node } => write!(f, "unknown node {}", node.0),
+            TopologyError::TooManyPorts { node, ports } => write!(
+                f,
+                "node {} has {ports} ports, route tables address at most {}",
+                node.0,
+                MAX_PORTS - 1
+            ),
         }
     }
 }
@@ -82,6 +110,10 @@ fn checked_id(count: usize) -> Result<NodeId, TopologyError> {
         .map(NodeId)
         .map_err(|_| TopologyError::NodeIdSpaceExhausted { nodes: count })
 }
+
+/// Exclusive bound on a node's port count: route-table entries are
+/// `u16`s whose top bit tags an equal-cost set (see [`RouteTable`]).
+const MAX_PORTS: usize = 1 << 15;
 
 #[derive(Debug, Clone, Copy)]
 struct LinkSpec {
@@ -178,12 +210,33 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if either node does not exist or `a == b`.
+    /// Panics if either node does not exist or `a == b`; use
+    /// [`try_link`](Self::try_link) to handle those as errors.
     pub fn link(&mut self, a: NodeId, b: NodeId, rate: Bandwidth, delay: Dur) {
-        assert!(a != b, "self-links are not allowed");
-        assert!((a.0 as usize) < self.kinds.len(), "unknown node {a:?}");
-        assert!((b.0 as usize) < self.kinds.len(), "unknown node {b:?}");
+        self.try_link(a, b, rate, delay)
+            .unwrap_or_else(|e| panic!("invalid link: {e}"))
+    }
+
+    /// Connects `a` and `b` with a full-duplex link, or returns
+    /// [`TopologyError::SelfLink`] / [`TopologyError::UnknownNode`].
+    pub fn try_link(
+        &mut self,
+        a: NodeId,
+        b: NodeId,
+        rate: Bandwidth,
+        delay: Dur,
+    ) -> Result<(), TopologyError> {
+        if a == b {
+            return Err(TopologyError::SelfLink { node: a });
+        }
+        if let Some(node) = [a, b]
+            .into_iter()
+            .find(|x| x.0 as usize >= self.kinds.len())
+        {
+            return Err(TopologyError::UnknownNode { node });
+        }
         self.links.push(LinkSpec { a, b, rate, delay });
+        Ok(())
     }
 
     /// Overrides the per-port switch buffer (bytes).
@@ -215,9 +268,10 @@ impl TopologyBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if a host has more than one link or the graph is
-    /// disconnected; use [`try_build`](Self::try_build) to handle those
-    /// as structured errors.
+    /// Panics if a host has more than one link, the graph is
+    /// disconnected or a node has 2^15 ports or more; use
+    /// [`try_build`](Self::try_build) to handle those as structured
+    /// errors.
     pub fn build(
         self,
         make_policy: impl FnMut(NodeId, &[PortLink]) -> Box<dyn SwitchPolicy>,
@@ -228,9 +282,10 @@ impl TopologyBuilder {
 
     /// Fallible [`build`](Self::build): returns a structured
     /// [`TopologyError`] for malformed inputs (host with a link count
-    /// other than one, disconnected graph) instead of panicking, so
-    /// programmatic builders such as ECMP fabric generators can
-    /// validate candidate topologies.
+    /// other than one, disconnected graph, a node with more ports than
+    /// a route table can name) instead of panicking, so programmatic
+    /// builders such as ECMP fabric generators can validate candidate
+    /// topologies.
     pub fn try_build(
         self,
         mut make_policy: impl FnMut(NodeId, &[PortLink]) -> Box<dyn SwitchPolicy>,
@@ -238,133 +293,8 @@ impl TopologyBuilder {
         let n = self.kinds.len();
         let switch_buf = self.switch_buffer.unwrap_or(DEFAULT_SWITCH_BUFFER);
         let host_buf = self.host_buffer.unwrap_or(DEFAULT_HOST_BUFFER);
-
-        // Per-node port plans: (link rate, delay, peer node).
-        let mut port_plans: Vec<Vec<(Bandwidth, Dur, NodeId)>> = vec![Vec::new(); n];
-        for l in &self.links {
-            port_plans[l.a.0 as usize].push((l.rate, l.delay, l.b));
-            port_plans[l.b.0 as usize].push((l.rate, l.delay, l.a));
-        }
-
-        // Resolve peer port indices: for the k-th link of node a to b, the
-        // matching port at b is the index of the corresponding entry.
-        // Walk links again counting per-pair occurrences.
-        let mut ports: Vec<Vec<PortLink>> = vec![Vec::new(); n];
-        let mut cursor: Vec<usize> = vec![0; n];
-        for l in &self.links {
-            let pa = cursor[l.a.0 as usize];
-            let pb = cursor[l.b.0 as usize];
-            cursor[l.a.0 as usize] += 1;
-            cursor[l.b.0 as usize] += 1;
-            ports[l.a.0 as usize].push(PortLink {
-                rate: l.rate,
-                delay: l.delay,
-                peer: l.b,
-                peer_port: pb,
-            });
-            ports[l.b.0 as usize].push(PortLink {
-                rate: l.rate,
-                delay: l.delay,
-                peer: l.a,
-                peer_port: pa,
-            });
-        }
-
-        for (i, kind) in self.kinds.iter().enumerate() {
-            if *kind == NodeKind::Host && ports[i].len() != 1 {
-                return Err(TopologyError::HostLinkCount {
-                    host: NodeId(i as u32),
-                    links: ports[i].len(),
-                });
-            }
-            if ports[i].is_empty() {
-                // An isolated node can reach nothing — degenerate case
-                // of disconnection (covers switch-only builders, where
-                // no host BFS would ever visit it).
-                return Err(TopologyError::Disconnected {
-                    node: NodeId(i as u32),
-                    unreachable: NodeId(i as u32),
-                });
-            }
-        }
-
-        // BFS from every host to fill each node's route table.
-        let adjacency: Vec<Vec<(NodeId, usize)>> = ports
-            .iter()
-            .map(|ps| {
-                ps.iter()
-                    .enumerate()
-                    .map(|(idx, p)| (p.peer, idx))
-                    .collect()
-            })
-            .collect();
-        // Only switches route; hosts have a single NIC. Dense u16 port
-        // entries keep fabric-scale builds (10k-host fat-trees) in tens
-        // of megabytes instead of gigabytes; equal-cost sets live in a
-        // small deduplicated pool per switch.
-        let mut routes: Vec<RouteTable> = self
-            .kinds
-            .iter()
-            .map(|k| match k {
-                NodeKind::Switch => RouteTable::unreachable(n),
-                NodeKind::Host => RouteTable::default(),
-            })
-            .collect();
-        for ps in &ports {
-            assert!(
-                ps.len() < (1usize << 15),
-                "per-node port count exceeds the tagged u16 route-table range"
-            );
-        }
-        let mut next_hops: Vec<u16> = Vec::new();
-        for dst in 0..n {
-            if self.kinds[dst] != NodeKind::Host {
-                continue;
-            }
-            // BFS backwards from dst; dist[v] = hops from v to dst.
-            let mut dist: Vec<u32> = vec![u32::MAX; n];
-            dist[dst] = 0;
-            let mut q = VecDeque::from([dst]);
-            while let Some(v) = q.pop_front() {
-                for &(peer, _) in &adjacency[v] {
-                    let p = peer.0 as usize;
-                    if dist[p] == u32::MAX {
-                        dist[p] = dist[v] + 1;
-                        q.push_back(p);
-                    }
-                }
-            }
-            for v in 0..n {
-                if v == dst {
-                    continue;
-                }
-                if dist[v] == u32::MAX {
-                    // Previously this slipped past the route fill and
-                    // surfaced as an `expect("connected graph")` panic
-                    // (or a missing-route panic deep in a run); now it
-                    // is a structured validation error.
-                    return Err(TopologyError::Disconnected {
-                        node: NodeId(v as u32),
-                        unreachable: NodeId(dst as u32),
-                    });
-                }
-                if self.kinds[v] != NodeKind::Switch {
-                    continue;
-                }
-                // Every equal-cost parent joins the set: fat-trees
-                // expose all their uplinks instead of concentrating on
-                // the lowest-id core. Adjacency is walked in port-index
-                // order, so the set arrives sorted and deterministic.
-                next_hops.clear();
-                for &(peer, port) in &adjacency[v] {
-                    if dist[peer.0 as usize] == dist[v] - 1 {
-                        next_hops.push(port as u16);
-                    }
-                }
-                debug_assert!(!next_hops.is_empty(), "BFS-reached node has a parent toward dst");
-                routes[v].set(dst, &next_hops);
-            }
-        }
+        let ports = self.port_links()?;
+        let mut routes = fill_routes(&self.kinds, &ports)?;
 
         let mut nodes = Vec::with_capacity(n);
         let mut hosts = Vec::new();
@@ -406,6 +336,153 @@ impl TopologyBuilder {
     pub fn build_drop_tail(self) -> Network {
         self.build(|_, _| Box::new(DropTail))
     }
+
+    /// Every node's ports in link order, each with its peer's matching
+    /// port index, after checking that every host has exactly one link,
+    /// no node is isolated, and no node has [`MAX_PORTS`] or more ports.
+    fn port_links(&self) -> Result<Vec<Vec<PortLink>>, TopologyError> {
+        let mut ports: Vec<Vec<PortLink>> = vec![Vec::new(); self.kinds.len()];
+        for l in &self.links {
+            // The new port's index at each end is that end's port count
+            // before the push.
+            let pa = ports[l.a.0 as usize].len();
+            let pb = ports[l.b.0 as usize].len();
+            ports[l.a.0 as usize].push(PortLink {
+                rate: l.rate,
+                delay: l.delay,
+                peer: l.b,
+                peer_port: pb,
+            });
+            ports[l.b.0 as usize].push(PortLink {
+                rate: l.rate,
+                delay: l.delay,
+                peer: l.a,
+                peer_port: pa,
+            });
+        }
+
+        for (i, kind) in self.kinds.iter().enumerate() {
+            if *kind == NodeKind::Host && ports[i].len() != 1 {
+                return Err(TopologyError::HostLinkCount {
+                    host: NodeId(i as u32),
+                    links: ports[i].len(),
+                });
+            }
+            if ports[i].is_empty() {
+                // An isolated node can reach nothing — degenerate case
+                // of disconnection (covers switch-only builders, where
+                // no route BFS would ever visit it).
+                return Err(TopologyError::Disconnected {
+                    node: NodeId(i as u32),
+                    unreachable: NodeId(i as u32),
+                });
+            }
+        }
+        if let Some(i) = ports.iter().position(|ps| ps.len() >= MAX_PORTS) {
+            return Err(TopologyError::TooManyPorts {
+                node: NodeId(i as u32),
+                ports: ports[i].len(),
+            });
+        }
+        Ok(ports)
+    }
+}
+
+/// Fills every switch's route table with its shortest-path (hop count)
+/// next hops toward every host, keeping every equal-cost port.
+///
+/// Only switches route; hosts have a single NIC. Dense u16 port entries
+/// keep fabric-scale builds (10k-host fat-trees) in tens of megabytes
+/// instead of gigabytes; equal-cost sets live in a small deduplicated
+/// pool per switch.
+///
+/// Every host has exactly one link, so no shortest path passes through
+/// a host, and for any node `v` other than host `h`,
+/// `dist(v, h) = dist(v, attach(h)) + 1` where `attach(h)` is `h`'s one
+/// peer. One BFS from each distinct attachment node therefore serves
+/// all of its hosts: a switch's equal-cost set toward them is the same
+/// set of ports, and the attachment switch itself reaches each host on
+/// that host's own port. Attachments are visited in order of their
+/// lowest host id, so every switch meets its equal-cost sets, and fills
+/// its pool, in the same order as a BFS per host in id order would
+/// (DESIGN.md §9).
+fn fill_routes(
+    kinds: &[NodeKind],
+    ports: &[Vec<PortLink>],
+) -> Result<Vec<RouteTable>, TopologyError> {
+    let n = kinds.len();
+    // Hosts grouped by attachment node; groups in order of first host.
+    let mut group_of = vec![usize::MAX; n];
+    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+    for h in (0..n).filter(|&h| kinds[h] == NodeKind::Host) {
+        let a = ports[h][0].peer.0 as usize;
+        if group_of[a] == usize::MAX {
+            group_of[a] = groups.len();
+            groups.push((a, Vec::new()));
+        }
+        groups[group_of[a]].1.push(h);
+    }
+
+    let mut routes: Vec<RouteTable> = kinds
+        .iter()
+        .map(|k| match k {
+            NodeKind::Switch => RouteTable::unreachable(n),
+            NodeKind::Host => RouteTable::default(),
+        })
+        .collect();
+    let mut dist: Vec<u32> = vec![u32::MAX; n];
+    let mut queue: VecDeque<usize> = VecDeque::with_capacity(n);
+    let mut next_hops: Vec<u16> = Vec::new();
+    for &(a, ref hosts) in &groups {
+        // BFS backwards from the attachment; dist[v] = hops from v to a.
+        dist.fill(u32::MAX);
+        dist[a] = 0;
+        queue.push_back(a);
+        while let Some(v) = queue.pop_front() {
+            for link in &ports[v] {
+                let p = link.peer.0 as usize;
+                if dist[p] == u32::MAX {
+                    dist[p] = dist[v] + 1;
+                    queue.push_back(p);
+                }
+            }
+        }
+        if let Some(v) = dist.iter().position(|&d| d == u32::MAX) {
+            // Every host of this attachment misses the same nodes; the
+            // lowest-id one is the first a per-host fill would report.
+            return Err(TopologyError::Disconnected {
+                node: NodeId(v as u32),
+                unreachable: NodeId(hosts[0] as u32),
+            });
+        }
+        for v in 0..n {
+            if kinds[v] != NodeKind::Switch {
+                continue;
+            }
+            if v == a {
+                for &h in hosts {
+                    routes[v].set(h, &[ports[h][0].peer_port as u16]);
+                }
+                continue;
+            }
+            // Every equal-cost parent joins the set: fat-trees expose
+            // all their uplinks instead of concentrating on the
+            // lowest-id core. Ports are walked in index order, so the
+            // set arrives sorted and deterministic.
+            next_hops.clear();
+            for (port, link) in ports[v].iter().enumerate() {
+                if dist[link.peer.0 as usize] == dist[v] - 1 {
+                    next_hops.push(port as u16);
+                }
+            }
+            debug_assert!(
+                !next_hops.is_empty(),
+                "BFS-reached node has a parent toward dst"
+            );
+            routes[v].set_many(hosts, &next_hops);
+        }
+    }
+    Ok(routes)
 }
 
 /// The paper's testbed (Fig. 4): root switch `NF0`, three leaf switches
@@ -545,6 +622,229 @@ pub fn fat_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::NextHops;
+
+    /// Reference route fill: one BFS per destination host and one
+    /// `RouteTable::set` per (switch, host) pair, in host-id order.
+    /// [`fill_routes`] must reproduce its tables exactly, set-pool order
+    /// included, and its first `Disconnected` pair.
+    fn per_host_routes(
+        kinds: &[NodeKind],
+        ports: &[Vec<PortLink>],
+    ) -> Result<Vec<RouteTable>, TopologyError> {
+        let n = kinds.len();
+        let mut routes: Vec<RouteTable> = kinds
+            .iter()
+            .map(|k| match k {
+                NodeKind::Switch => RouteTable::unreachable(n),
+                NodeKind::Host => RouteTable::default(),
+            })
+            .collect();
+        let mut next_hops: Vec<u16> = Vec::new();
+        for dst in 0..n {
+            if kinds[dst] != NodeKind::Host {
+                continue;
+            }
+            let mut dist: Vec<u32> = vec![u32::MAX; n];
+            dist[dst] = 0;
+            let mut q = VecDeque::from([dst]);
+            while let Some(v) = q.pop_front() {
+                for link in &ports[v] {
+                    let p = link.peer.0 as usize;
+                    if dist[p] == u32::MAX {
+                        dist[p] = dist[v] + 1;
+                        q.push_back(p);
+                    }
+                }
+            }
+            for v in 0..n {
+                if v == dst {
+                    continue;
+                }
+                if dist[v] == u32::MAX {
+                    return Err(TopologyError::Disconnected {
+                        node: NodeId(v as u32),
+                        unreachable: NodeId(dst as u32),
+                    });
+                }
+                if kinds[v] != NodeKind::Switch {
+                    continue;
+                }
+                next_hops.clear();
+                for (port, link) in ports[v].iter().enumerate() {
+                    if dist[link.peer.0 as usize] == dist[v] - 1 {
+                        next_hops.push(port as u16);
+                    }
+                }
+                routes[v].set(dst, &next_hops);
+            }
+        }
+        Ok(routes)
+    }
+
+    /// Asserts that the per-attachment fill equals the per-host oracle
+    /// on `t`: the same tables (entries and set pools) or the same
+    /// error. Returns the fill's result.
+    pub(super) fn assert_matches_oracle(
+        t: &TopologyBuilder,
+    ) -> Result<Vec<RouteTable>, TopologyError> {
+        let ports = t.port_links()?;
+        let fast = fill_routes(&t.kinds, &ports);
+        assert_eq!(fast, per_host_routes(&t.kinds, &ports));
+        fast
+    }
+
+    #[test]
+    fn route_fill_matches_per_host_oracle() {
+        let d = Dur::micros(1);
+        let g1 = Bandwidth::gbps(1);
+        let g10 = Bandwidth::gbps(10);
+        let mut builders = vec![
+            testbed(d).0,
+            multi_bottleneck(g1, d).0,
+            star(7, g1, d).0,
+            leaf_spine(18, 20, g1, g10, d).0,
+        ];
+        for k in [4, 8, 16] {
+            builders.push(fat_tree(k, g1, g10, d).0);
+        }
+        for t in &builders {
+            assert_matches_oracle(t).expect("valid topology");
+        }
+    }
+
+    #[test]
+    fn two_hosts_linked_directly() {
+        // Each host is the other's attachment node; there is no switch.
+        let mut t = TopologyBuilder::new();
+        let h0 = t.host();
+        let h1 = t.host();
+        t.link(h0, h1, Bandwidth::gbps(1), Dur::micros(1));
+        assert_matches_oracle(&t).expect("valid topology");
+        let net = t.build_drop_tail();
+        assert!(net.switches.is_empty());
+        let Node::Host(ref a) = net.nodes[h0.0 as usize] else {
+            panic!()
+        };
+        assert_eq!(a.nic.link.peer, h1);
+    }
+
+    #[test]
+    fn switch_with_only_host_neighbours() {
+        let (t, hosts, sw) = star(4, Bandwidth::gbps(1), Dur::micros(1));
+        assert_matches_oracle(&t).expect("valid topology");
+        let net = t.build_drop_tail();
+        let Node::Switch(ref s) = net.nodes[sw.0 as usize] else {
+            panic!()
+        };
+        for (port, &h) in hosts.iter().enumerate() {
+            assert_eq!(s.routes.next_hops(h), NextHops::Single(port as u16));
+        }
+        assert_eq!(s.routes.reachable_dests(), hosts.len());
+    }
+
+    #[test]
+    fn transit_switch_with_hosts_on_several_ports() {
+        // s0 - mid - s1, with mid's hosts on ports 0, 2 and 4 between its
+        // two fabric ports, and host ids interleaved across attachments.
+        let r = Bandwidth::gbps(1);
+        let d = Dur::micros(1);
+        let mut t = TopologyBuilder::new();
+        let [s0, mid, s1] = [t.switch(), t.switch(), t.switch()];
+        let [m0, a, m1, b, m2] = [t.host(), t.host(), t.host(), t.host(), t.host()];
+        t.link(m0, mid, r, d);
+        t.link(mid, s0, r, d);
+        t.link(m1, mid, r, d);
+        t.link(s1, mid, r, d);
+        t.link(m2, mid, r, d);
+        t.link(a, s0, r, d);
+        t.link(b, s1, r, d);
+        assert_matches_oracle(&t).expect("valid topology");
+        let net = t.build_drop_tail();
+        let Node::Switch(ref m) = net.nodes[mid.0 as usize] else {
+            panic!()
+        };
+        assert_eq!(m.routes.next_hops(m0), NextHops::Single(0));
+        assert_eq!(m.routes.next_hops(m1), NextHops::Single(2));
+        assert_eq!(m.routes.next_hops(m2), NextHops::Single(4));
+        assert_eq!(m.routes.next_hops(a), NextHops::Single(1));
+        assert_eq!(m.routes.next_hops(b), NextHops::Single(3));
+        let Node::Switch(ref left) = net.nodes[s0.0 as usize] else {
+            panic!()
+        };
+        for h in [m0, m1, m2, b] {
+            assert_eq!(left.routes.next_hops(h), NextHops::Single(0), "{h:?}");
+        }
+        assert_eq!(left.routes.next_hops(a), NextHops::Single(1));
+    }
+
+    #[test]
+    fn try_link_rejects_self_and_unknown_nodes() {
+        let r = Bandwidth::gbps(1);
+        let d = Dur::micros(1);
+        let mut t = TopologyBuilder::new();
+        let h = t.host();
+        let s = t.switch();
+        let err = t.try_link(s, s, r, d).unwrap_err();
+        assert_eq!(err, TopologyError::SelfLink { node: s });
+        assert_eq!(err.to_string(), "self-link on node 1 is not allowed");
+        let ghost = NodeId(7);
+        let err = t.try_link(h, ghost, r, d).unwrap_err();
+        assert_eq!(err, TopologyError::UnknownNode { node: ghost });
+        assert_eq!(err.to_string(), "unknown node 7");
+        assert_eq!(
+            t.try_link(ghost, s, r, d),
+            Err(TopologyError::UnknownNode { node: ghost })
+        );
+        // Rejected links leave no trace; a valid one still goes in.
+        assert_eq!(t.try_link(h, s, r, d), Ok(()));
+        assert_eq!(t.links.len(), 1);
+        t.try_build(|_, _| Box::new(DropTail)).expect("valid");
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid link: self-link on node 0")]
+    fn link_panics_on_self_link() {
+        let mut t = TopologyBuilder::new();
+        let s = t.switch();
+        t.link(s, s, Bandwidth::gbps(1), Dur::micros(1));
+    }
+
+    #[test]
+    fn too_many_ports_is_a_typed_error() {
+        // One switch with 2^15 hosts: its last port index would collide
+        // with the route table's ECMP tag bit.
+        let (t, _, sw) = star(MAX_PORTS, Bandwidth::gbps(1), Dur::micros(1));
+        let err = t
+            .try_build(|_, _| Box::new(DropTail))
+            .err()
+            .expect("must fail");
+        assert_eq!(
+            err,
+            TopologyError::TooManyPorts {
+                node: sw,
+                ports: MAX_PORTS
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            format!(
+                "node {} has 32768 ports, route tables address at most 32767",
+                sw.0
+            )
+        );
+        // One port fewer is the largest switch a table can address.
+        let (t, hosts, sw) = star(MAX_PORTS - 1, Bandwidth::gbps(1), Dur::micros(1));
+        let net = t.try_build(|_, _| Box::new(DropTail)).expect("valid");
+        let Node::Switch(ref s) = net.nodes[sw.0 as usize] else {
+            panic!()
+        };
+        let last = *hosts.last().unwrap();
+        assert_eq!(
+            s.routes.next_hops(last),
+            NextHops::Single(MAX_PORTS as u16 - 2)
+        );
+    }
 
     #[test]
     fn builds_symmetric_peer_ports() {
@@ -662,10 +962,14 @@ mod tests {
         t.link(h0, s0, Bandwidth::gbps(1), Dur::micros(1));
         t.link(h1, s1, Bandwidth::gbps(1), Dur::micros(1));
         let err = t.try_build(|_, _| Box::new(DropTail)).err().expect("must fail");
-        let TopologyError::Disconnected { node, unreachable } = err else {
-            panic!("wrong error: {err:?}");
-        };
-        assert_ne!(node, unreachable);
+        // The first host's island misses the other island's first node.
+        assert_eq!(
+            err,
+            TopologyError::Disconnected {
+                node: h1,
+                unreachable: h0
+            }
+        );
         assert!(err.to_string().contains("disconnected"));
 
         // Isolated switch: degenerate disconnection, also structured.
@@ -911,6 +1215,110 @@ mod proptests {
                 }
             }
         });
+    }
+
+    /// A random multi-rooted switch mesh of `islands` components. Each
+    /// island has 1–6 switches joined by a random spanning tree plus
+    /// extra random links (cycles, parallel links, equal-cost paths), and
+    /// 0–3 hosts on each switch, transit switches included. Node ids are
+    /// created in shuffled order and links added in shuffled order, so a
+    /// switch's hosts are neither consecutive ids nor consecutive ports.
+    fn random_mesh(rng: &mut rng::rngs::StdRng, islands: usize) -> TopologyBuilder {
+        use rng::seq::SliceRandom;
+        // (island, switch index within it, is_host) per node to create.
+        let mut nodes: Vec<(usize, usize, bool)> = Vec::new();
+        let mut switch_counts = Vec::new();
+        for island in 0..islands {
+            let switches = rng.gen_range(1..7usize);
+            switch_counts.push(switches);
+            let mut hosts = 0;
+            for sw in 0..switches {
+                nodes.push((island, sw, false));
+                for _ in 0..rng.gen_range(0..4usize) {
+                    nodes.push((island, sw, true));
+                    hosts += 1;
+                }
+            }
+            if switches == 1 && hosts == 0 {
+                // A lone switch with no host would be isolated.
+                nodes.push((island, 0, true));
+            }
+        }
+        nodes.shuffle(rng);
+
+        let mut t = TopologyBuilder::new();
+        let ids: Vec<NodeId> = nodes
+            .iter()
+            .map(|&(_, _, is_host)| if is_host { t.host() } else { t.switch() })
+            .collect();
+        let switch_id = |island: usize, sw: usize| {
+            let at = nodes
+                .iter()
+                .position(|&n| n == (island, sw, false))
+                .unwrap();
+            ids[at]
+        };
+        let mut links: Vec<(NodeId, NodeId)> = Vec::new();
+        for (island, &count) in switch_counts.iter().enumerate() {
+            for sw in 1..count {
+                let parent = rng.gen_range(0..sw);
+                links.push((switch_id(island, sw), switch_id(island, parent)));
+            }
+            if count > 1 {
+                for _ in 0..rng.gen_range(0..2 * count) {
+                    let x = rng.gen_range(0..count);
+                    let y = (x + rng.gen_range(1..count)) % count;
+                    links.push((switch_id(island, x), switch_id(island, y)));
+                }
+            }
+        }
+        for (at, &(island, sw, is_host)) in nodes.iter().enumerate() {
+            if is_host {
+                links.push((ids[at], switch_id(island, sw)));
+            }
+        }
+        links.shuffle(rng);
+        for (a, b) in links {
+            t.link(a, b, Bandwidth::gbps(1), Dur::micros(1));
+        }
+        t
+    }
+
+    #[test]
+    fn route_fill_matches_oracle_on_random_meshes() {
+        let mut multipath = 0;
+        cases(256, |_case, rng| {
+            let t = random_mesh(rng, 1);
+            let routes = super::tests::assert_matches_oracle(&t).expect("connected mesh");
+            multipath += routes
+                .iter()
+                .filter(|rt| {
+                    (0..t.kinds.len()).any(|d| {
+                        matches!(
+                            rt.next_hops(NodeId(d as u32)),
+                            crate::node::NextHops::Ecmp(_)
+                        )
+                    })
+                })
+                .count();
+        });
+        assert!(multipath > 0, "no case exercised an equal-cost set");
+    }
+
+    #[test]
+    fn disconnected_pair_matches_oracle_on_random_meshes() {
+        let mut disconnected = 0;
+        cases(128, |_case, rng| {
+            let t = random_mesh(rng, 2);
+            if let Err(TopologyError::Disconnected { .. }) = super::tests::assert_matches_oracle(&t)
+            {
+                disconnected += 1;
+            }
+        });
+        assert!(
+            disconnected > 64,
+            "only {disconnected} cases were disconnected"
+        );
     }
 
     #[test]

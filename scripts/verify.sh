@@ -31,6 +31,12 @@ cargo test -q -p tfc-repro --test sched_equivalence
 # link-down reroute onto surviving equal-cost members.
 cargo test -q -p tfc-repro --test ecmp
 
+# Route-fill oracle: the one-BFS-per-attachment route fill must equal a
+# per-host BFS fill (entries, equal-cost set-pool order, first
+# disconnected pair) on the paper's topologies, fat-trees and random
+# meshes, alongside the topology builder's typed-error tests.
+cargo test -q -p tfc-simnet --lib topology
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"
