@@ -11,8 +11,8 @@
 use crate::packet::FlowId;
 
 /// A slab keyed by [`FlowId`]: `Vec<Option<T>>` with O(1) access and
-/// id-ordered iteration. Suited to tables that hold a sparse subset of
-/// the simulation's flows, like a host's sender/receiver endpoints.
+/// id-ordered iteration. Its length follows the highest id inserted,
+/// so it suits dense tables like the simulator's per-flow slots.
 #[derive(Debug)]
 pub struct FlowMap<T> {
     slots: Vec<Option<T>>,

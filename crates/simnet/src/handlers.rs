@@ -106,22 +106,18 @@ impl SimCore {
 
     /// A transport-endpoint timer fires at a host.
     fn on_host_timer(&mut self, node: NodeId, flow: FlowId, token: u64) {
-        // The timer's cancellation handle is spent the moment it fires.
-        if let Some(pending) = self.host_timers.get_mut(flow.0 as usize) {
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                pending.swap_remove(i);
-            }
-        }
-        let now = self.now;
-        let mut fx = Effects::new();
-        let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
+        let Some(slot) = self.flows.get_mut(flow) else {
             return;
         };
-        if let Some(s) = h.senders.get_mut(flow) {
-            s.on_timer(token, now, &mut fx);
-        } else {
+        // The timer's cancellation handle is spent the moment it fires.
+        if let Some(i) = slot.timers.iter().position(|&(t, _)| t == token) {
+            slot.timers.swap_remove(i);
+        }
+        if slot.state.spec.src != node {
             return;
         }
+        let mut fx = Effects::new();
+        slot.sender.on_timer(token, self.now, &mut fx);
         self.apply_host_fx(node, flow, fx);
     }
 
@@ -718,20 +714,19 @@ impl SimCore {
             );
         }
         let mut fx = Effects::new();
-        let known = {
-            let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
-                unreachable!()
-            };
-            let p = self.packets.get(pkt);
-            if let Some(s) = h.senders.get_mut(flow) {
-                s.on_packet(p, now, &mut fx);
+        // Sender at src, receiver at dst; anything else is a stale packet
+        // of a torn-down flow, whose id may since name a flow elsewhere.
+        let p = self.packets.get(pkt);
+        let known = match self.flows.get_mut(flow) {
+            Some(slot) if slot.state.spec.src == node => {
+                slot.sender.on_packet(p, now, &mut fx);
                 true
-            } else if let Some(r) = h.receivers.get_mut(flow) {
-                r.on_packet(p, now, &mut fx);
-                true
-            } else {
-                false // Stale packet of a torn-down flow.
             }
+            Some(slot) if slot.state.spec.dst == node => {
+                slot.receiver.on_packet(p, now, &mut fx);
+                true
+            }
+            _ => false,
         };
         if self.telemetry.spans.enabled() {
             if known {

@@ -60,6 +60,6 @@ pub use node::PortStats;
 pub use packet::{Flags, FlowId, NodeId, Packet, HEADER_BYTES, MIN_FRAME, MSS, WINDOW_INIT};
 pub use retire::{FlowRetirer, RetireConfig};
 pub use sched::{SchedulerKind, TimerHandle};
-pub use sim::{FlowState, SimApi, SimConfig, SimCore, Simulator};
+pub use sim::{FlowError, FlowState, SimApi, SimConfig, SimCore, Simulator};
 pub use topology::{Network, TopologyBuilder};
 pub use units::{Bandwidth, Dur, Time};

@@ -19,9 +19,9 @@
 //! lookups already treat unknown flows as stale packets and consume
 //! them, so a quarantined id is harmless by construction.
 //!
-//! Memory is O(peak active flows): the flow slab, the per-flow timer
-//! table, and the endpoint tables all recycle slots, the sketches are
-//! fixed-size, and the id quarantine holds at most
+//! Memory is O(peak active flows): the flow slab, whose slots hold each
+//! flow's state, endpoints and timer handles, recycles slots, the
+//! sketches are fixed-size, and the id quarantine holds at most
 //! `arrival_rate x reuse_after` entries.
 
 use metrics::{FctCollector, FlowRecord, QuantileSketch};

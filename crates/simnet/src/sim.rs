@@ -19,7 +19,7 @@ use telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 
 use crate::app::{Application, FlowEvent};
 use crate::arena::{PacketArena, PacketId};
-use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack};
+use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
 use crate::flowtable::FlowMap;
@@ -138,6 +138,40 @@ pub struct FlowState {
     pub class: u8,
 }
 
+/// Everything kept per live flow. The sender runs on `state.spec.src`
+/// and the receiver on `state.spec.dst`; hosts keep no per-flow state.
+pub(crate) struct FlowSlot {
+    pub(crate) state: FlowState,
+    pub(crate) sender: Box<dyn SenderEndpoint>,
+    pub(crate) receiver: Box<dyn ReceiverEndpoint>,
+    /// Pending cancellable host-timer handles, as `(endpoint token,
+    /// handle)` pairs; entries leave on fire/cancel.
+    pub(crate) timers: Vec<(u64, TimerHandle)>,
+}
+
+/// Why [`SimCore::try_start_flow`] rejected a flow.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlowError {
+    /// `src == dst`: a flow needs two distinct hosts.
+    SameEndpoints,
+    /// An endpoint names a node the network does not have.
+    UnknownNode(NodeId),
+    /// An endpoint names a switch.
+    NotAHost(NodeId),
+}
+
+impl std::fmt::Display for FlowError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            FlowError::SameEndpoints => write!(f, "flow endpoints must differ"),
+            FlowError::UnknownNode(n) => write!(f, "unknown node {}", n.0),
+            FlowError::NotAHost(n) => write!(f, "flow endpoint {} is not a host", n.0),
+        }
+    }
+}
+
+impl std::error::Error for FlowError {}
+
 pub(crate) enum AppCall {
     Timer(u64),
     Flow(FlowEvent),
@@ -158,12 +192,12 @@ pub struct SimCore {
     pub(crate) hosts: Vec<NodeId>,
     pub(crate) switches: Vec<NodeId>,
     pub(crate) stack: Box<dyn ProtocolStack>,
-    /// Flow states in a dense slab. Ids are allocated sequentially;
+    /// Per-flow slots in a dense slab. Ids are allocated sequentially;
     /// without retirement they are never recycled and `flows` only
     /// grows, with retirement ([`SimConfig::retire`]) completed flows
     /// leave the slab and their ids return after a quarantine, so the
     /// slab length is bounded by peak concurrency.
-    pub(crate) flows: FlowMap<FlowState>,
+    pub(crate) flows: FlowMap<FlowSlot>,
     /// Next never-used flow id (ids below it are live, retired, or
     /// quarantined).
     pub(crate) next_flow_id: u64,
@@ -172,9 +206,6 @@ pub struct SimCore {
     pub(crate) free_ids: VecDeque<(Time, FlowId)>,
     /// The retirement pipeline, when [`SimConfig::retire`] is set.
     pub(crate) retirer: Option<FlowRetirer>,
-    /// Pending cancellable host-timer handles per flow, as
-    /// `(endpoint token, handle)` pairs; entries leave on fire/cancel.
-    pub(crate) host_timers: Vec<Vec<(u64, TimerHandle)>>,
     /// Pending cancellable policy-timer handles per node id.
     pub(crate) policy_timers: Vec<Vec<(u64, TimerHandle)>>,
     pub(crate) rng: StdRng,
@@ -213,106 +244,99 @@ impl SimCore {
     ///
     /// # Panics
     ///
-    /// Panics if `src`/`dst` are not distinct hosts.
+    /// Panics if `src`/`dst` are not distinct hosts; use
+    /// [`try_start_flow`](Self::try_start_flow) to handle that as an
+    /// error.
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
-        assert!(spec.src != spec.dst, "flow endpoints must differ");
+        self.try_start_flow(spec)
+            .unwrap_or_else(|e| panic!("invalid flow: {e}"))
+    }
+
+    /// Starts a flow and returns its id, or a [`FlowError`] when
+    /// `src`/`dst` are not two distinct hosts. A rejected flow
+    /// allocates no id and leaves no state behind.
+    pub fn try_start_flow(&mut self, spec: FlowSpec) -> Result<FlowId, FlowError> {
+        if spec.src == spec.dst {
+            return Err(FlowError::SameEndpoints);
+        }
+        for node in [spec.src, spec.dst] {
+            match self.nodes.get(node.0 as usize) {
+                None => return Err(FlowError::UnknownNode(node)),
+                Some(Node::Switch(_)) => return Err(FlowError::NotAHost(node)),
+                Some(Node::Host(_)) => {}
+            }
+        }
         let flow = self.alloc_flow_id();
         let sender = self.stack.new_sender(flow, &spec);
         let receiver = self.stack.new_receiver(flow, &spec);
-        let (src, dst) = (spec.src, spec.dst);
+        let src = spec.src;
         if self.telemetry.log.enabled() {
             self.telemetry.log.record(
                 self.now.nanos(),
                 TraceEvent::FlowOpen {
                     flow: flow.0,
                     src: src.0,
-                    dst: dst.0,
+                    dst: spec.dst.0,
                     bytes: spec.bytes.unwrap_or(0),
                 },
             );
         }
         let prev = self.flows.insert(
             flow,
-            FlowState {
-                spec,
-                started_at: self.now,
-                established_at: None,
-                receiver_done_at: None,
-                sender_done_at: None,
-                delivered: 0,
-                timeouts: 0,
-                retransmits: 0,
-                meter: None,
-                watch_delivery: false,
-                watch_rtt: false,
-                rtt_samples: Vec::new(),
-                class: 0,
+            FlowSlot {
+                state: FlowState {
+                    spec,
+                    started_at: self.now,
+                    established_at: None,
+                    receiver_done_at: None,
+                    sender_done_at: None,
+                    delivered: 0,
+                    timeouts: 0,
+                    retransmits: 0,
+                    meter: None,
+                    watch_delivery: false,
+                    watch_rtt: false,
+                    rtt_samples: Vec::new(),
+                    class: 0,
+                },
+                sender,
+                receiver,
+                timers: Vec::new(),
             },
         );
         debug_assert!(prev.is_none(), "allocated id {flow:?} was occupied");
-        if self.host_timers.len() <= flow.0 as usize {
-            self.host_timers.push(Vec::new());
-        }
-        debug_assert!(self.host_timers[flow.0 as usize].is_empty());
-        let Node::Host(h) = &mut self.nodes[dst.0 as usize] else {
-            panic!("flow dst {dst:?} is not a host");
-        };
-        h.receivers.insert(flow, receiver);
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            panic!("flow src {src:?} is not a host");
-        };
-        h.senders.insert(flow, sender);
         let mut fx = Effects::new();
-        let now = self.now;
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            unreachable!()
-        };
-        h.senders
-            .get_mut(flow)
-            .expect("just inserted")
-            .open(now, &mut fx);
+        let slot = self.flows.get_mut(flow).expect("just inserted");
+        slot.sender.open(self.now, &mut fx);
         self.apply_host_fx(src, flow, fx);
-        flow
+        Ok(flow)
     }
 
     /// Adds `bytes` to an open-ended flow's send stream.
     ///
     /// # Panics
     ///
-    /// Panics if the flow or its sender does not exist.
+    /// Panics if the flow does not exist.
     pub fn push_data(&mut self, flow: FlowId, bytes: u64) {
-        let src = self.flows.get(flow).expect("flow exists").spec.src;
-        let now = self.now;
         let mut fx = Effects::new();
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            unreachable!()
-        };
-        h.senders
-            .get_mut(flow)
-            .expect("sender exists")
-            .push_data(bytes, now, &mut fx);
+        let slot = self.flows.get_mut(flow).expect("flow exists");
+        slot.sender.push_data(bytes, self.now, &mut fx);
+        let src = slot.state.spec.src;
         self.apply_host_fx(src, flow, fx);
     }
 
     /// Closes an open-ended flow (FIN once pushed data is delivered).
     ///
-    /// A no-op when the flow or its sender no longer exists (never
-    /// started, or already torn down) — closing twice is safe, so
-    /// workloads need not track liveness across faults.
+    /// A no-op when the flow no longer exists (never started, or
+    /// already torn down) — closing twice is safe, so workloads need
+    /// not track liveness across faults.
     pub fn close_flow(&mut self, flow: FlowId) {
-        let Some(state) = self.flows.get(flow) else {
+        let Some(slot) = self.flows.get_mut(flow) else {
             return;
         };
-        let src = state.spec.src;
-        let now = self.now;
         let mut fx = Effects::new();
-        let Node::Host(h) = &mut self.nodes[src.0 as usize] else {
-            unreachable!()
-        };
-        let Some(s) = h.senders.get_mut(flow) else {
-            return;
-        };
-        s.close(now, &mut fx);
+        slot.sender.close(self.now, &mut fx);
+        let src = slot.state.spec.src;
         self.apply_host_fx(src, flow, fx);
     }
 
@@ -347,14 +371,14 @@ impl SimCore {
     /// the per-class retirement sketches; the tag is a no-op for flows
     /// that are already gone.
     pub fn set_flow_class(&mut self, flow: FlowId, class: u8) {
-        if let Some(state) = self.flows.get_mut(flow) {
-            state.class = class;
+        if let Some(slot) = self.flows.get_mut(flow) {
+            slot.state.class = class;
         }
     }
 
     /// Attaches a goodput meter (window `window`) to a flow.
     pub fn meter_flow(&mut self, flow: FlowId, window: Dur) {
-        let state = self.flows.get_mut(flow).expect("flow exists");
+        let state = &mut self.flows.get_mut(flow).expect("flow exists").state;
         state.meter = Some(RateMeter::new(format!("flow{}", flow.0), window.as_nanos()));
     }
 
@@ -363,6 +387,7 @@ impl SimCore {
         self.flows
             .get_mut(flow)
             .expect("flow exists")
+            .state
             .watch_delivery = true;
     }
 
@@ -371,6 +396,7 @@ impl SimCore {
         self.flows
             .get_mut(flow)
             .expect("flow exists")
+            .state
             .watch_rtt = true;
     }
 
@@ -399,7 +425,7 @@ impl SimCore {
     /// Panics if the flow never existed or was retired (see
     /// [`SimConfig::retire`]).
     pub fn flow(&self, flow: FlowId) -> &FlowState {
-        self.flows.get(flow).expect("flow exists (not retired)")
+        &self.flows.get(flow).expect("flow exists (not retired)").state
     }
 
     /// Whether the flow currently has live state (retired flows do not).
@@ -410,7 +436,7 @@ impl SimCore {
     /// Iterates all live flows in id order. Under retirement, completed
     /// flows are absent: their statistics live in [`SimCore::retirer`].
     pub fn flows(&self) -> impl Iterator<Item = (FlowId, &FlowState)> {
-        self.flows.iter()
+        self.flows.iter().map(|(id, slot)| (id, &slot.state))
     }
 
     /// The collected traces.
@@ -422,11 +448,6 @@ impl SimCore {
     /// slot gauges).
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
-    }
-
-    /// Mutable telemetry access (tests, exporters).
-    pub fn telemetry_mut(&mut self) -> &mut Telemetry {
-        &mut self.telemetry
     }
 
     /// The run's configuration.
@@ -579,11 +600,7 @@ impl SimCore {
 
     /// Current congestion window of a flow's sender, if it exists.
     pub fn sender_cwnd(&self, flow: FlowId) -> Option<u64> {
-        let src = self.flows.get(flow)?.spec.src;
-        let Node::Host(h) = &self.nodes[src.0 as usize] else {
-            return None;
-        };
-        h.senders.get(flow).map(|s| s.cwnd())
+        self.flows.get(flow).map(|slot| slot.sender.cwnd())
     }
 
     // ------------------------------------------------------------------
@@ -608,25 +625,18 @@ impl SimCore {
     }
 
     /// Tears down a finished flow: folds its scalars into the retirer's
-    /// per-class sketches, cancels its pending timers, removes both
-    /// endpoints (bumping the slot generations), frees the slab entry,
-    /// and quarantines the id. Packets of the dead flow still in flight
+    /// per-class sketches, cancels its pending timers, frees its slot
+    /// with both endpoints (bumping the slot generation), and
+    /// quarantines the id. Packets of the dead flow still in flight
     /// take the existing stale-packet path at the hosts.
     fn retire_flow(&mut self, flow: FlowId) {
-        let Some(state) = self.flows.remove(flow) else {
+        let Some(slot) = self.flows.remove(flow) else {
             return;
         };
         let retirer = self.retirer.as_mut().expect("retire_flow requires retirer");
-        retirer.retire(&state);
-        for (_, handle) in self.host_timers[flow.0 as usize].drain(..) {
+        retirer.retire(&slot.state);
+        for (_, handle) in slot.timers {
             self.events.cancel(handle);
-        }
-        let (src, dst) = (state.spec.src, state.spec.dst);
-        if let Node::Host(h) = &mut self.nodes[src.0 as usize] {
-            h.senders.remove(flow);
-        }
-        if let Node::Host(h) = &mut self.nodes[dst.0 as usize] {
-            h.receivers.remove(flow);
         }
         self.free_ids.push_back((self.now, flow));
     }
@@ -647,8 +657,8 @@ impl SimCore {
         }
         // Cancels first: an endpoint that re-arms in the same callback
         // cancels the old generation before scheduling the new one.
+        let pending = &mut self.flows.get_mut(flow).expect("effects of a live flow").timers;
         for token in fx.cancels {
-            let pending = &mut self.host_timers[flow.0 as usize];
             if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
                 let (_, handle) = pending.swap_remove(i);
                 self.events.cancel(handle);
@@ -663,7 +673,7 @@ impl SimCore {
                     token,
                 },
             );
-            self.host_timers[flow.0 as usize].push((token, handle));
+            pending.push((token, handle));
         }
         for note in fx.notes {
             self.handle_note(flow, note);
@@ -674,7 +684,7 @@ impl SimCore {
         let now = self.now;
         let tel_on = self.telemetry.log.enabled();
         let finishing = matches!(note, Note::ReceiverDone | Note::SenderDone);
-        let Some(state) = self.flows.get_mut(flow) else {
+        let Some(FlowSlot { state, .. }) = self.flows.get_mut(flow) else {
             return;
         };
         match note {
@@ -790,10 +800,8 @@ impl SimCore {
         // observes the flow; `retire_flow` ignores a second queuing.
         if finishing
             && self.retirer.is_some()
-            && self
-                .flows
-                .get(flow)
-                .is_some_and(|s| s.receiver_done_at.is_some() && s.sender_done_at.is_some())
+            && state.receiver_done_at.is_some()
+            && state.sender_done_at.is_some()
         {
             self.pending_app.push_back(AppCall::Retire(flow));
         }
@@ -819,7 +827,6 @@ impl<A: Application> Simulator<A> {
                 next_flow_id: 0,
                 free_ids: VecDeque::new(),
                 retirer,
-                host_timers: Vec::new(),
                 policy_timers,
                 rng: StdRng::seed_from_u64(cfg.seed),
                 fault_rng: StdRng::seed_from_u64(cfg.seed ^ FAULT_RNG_TAG),
@@ -861,8 +868,8 @@ impl<A: Application> Simulator<A> {
         }
         // Flush goodput meters so trailing zero-windows are emitted.
         let now = self.core.now;
-        for (_, state) in self.core.flows.iter_mut() {
-            if let Some(m) = &mut state.meter {
+        for (_, slot) in self.core.flows.iter_mut() {
+            if let Some(m) = &mut slot.state.meter {
                 m.flush(now.nanos());
             }
         }
@@ -895,11 +902,6 @@ impl<A: Application> Simulator<A> {
     pub fn app(&self) -> &A {
         &self.app
     }
-
-    /// Mutable application access.
-    pub fn app_mut(&mut self) -> &mut A {
-        &mut self.app
-    }
 }
 
 impl<'a> SimApi<'a> {
@@ -911,6 +913,11 @@ impl<'a> SimApi<'a> {
     /// Starts a flow; see [`SimCore::start_flow`].
     pub fn start_flow(&mut self, spec: FlowSpec) -> FlowId {
         self.core.start_flow(spec)
+    }
+
+    /// Starts a flow or rejects it; see [`SimCore::try_start_flow`].
+    pub fn try_start_flow(&mut self, spec: FlowSpec) -> Result<FlowId, FlowError> {
+        self.core.try_start_flow(spec)
     }
 
     /// Pushes data on an open-ended flow; see [`SimCore::push_data`].
@@ -1306,5 +1313,284 @@ mod packet_log_tests {
         let arena = sim.core().packet_arena();
         assert!(arena.allocated_total() > 0);
         assert!(arena.is_empty(), "{} packet slots leaked", arena.live());
+    }
+}
+
+#[cfg(test)]
+mod flow_slot_tests {
+    use std::sync::{Arc, Mutex};
+
+    use super::*;
+    use crate::app::{NullApp, StaticFlows};
+    use crate::endpoint::{ReceiverEndpoint, SenderEndpoint};
+    use crate::packet::{Flags, Packet, MSS};
+    use crate::topology::{leaf_spine, TopologyBuilder};
+    use crate::units::Bandwidth;
+
+    /// Every packet an endpoint saw: `(flow, role, seq, ack)`.
+    type Seen = Arc<Mutex<Vec<(FlowId, &'static str, u64, u64)>>>;
+
+    const RTO: u64 = 1;
+
+    /// A one-packet request/ack protocol: the sender emits the flow's
+    /// bytes as one data packet and arms a retransmit timer; the
+    /// receiver delivers and acks it; the ack cancels the timer and
+    /// finishes the sender. Both log every packet they see.
+    struct PingSender {
+        flow: FlowId,
+        spec: FlowSpec,
+        seen: Seen,
+    }
+
+    impl PingSender {
+        fn send(&self, fx: &mut Effects) {
+            let bytes = self.spec.bytes.unwrap_or(MSS);
+            fx.send(Packet::data(self.flow, self.spec.src, self.spec.dst, 0, bytes));
+            fx.timer(Dur::millis(1), RTO);
+        }
+    }
+
+    impl SenderEndpoint for PingSender {
+        fn open(&mut self, _now: Time, fx: &mut Effects) {
+            self.send(fx);
+        }
+        fn push_data(&mut self, _bytes: u64, _now: Time, _fx: &mut Effects) {}
+        fn close(&mut self, _now: Time, _fx: &mut Effects) {}
+        fn on_packet(&mut self, pkt: &Packet, _now: Time, fx: &mut Effects) {
+            self.seen.lock().unwrap().push((self.flow, "sender", pkt.seq, pkt.ack));
+            if pkt.flags.contains(Flags::ACK) {
+                fx.cancel_timer(RTO);
+                fx.note(Note::SenderDone);
+            }
+        }
+        fn on_timer(&mut self, _token: u64, _now: Time, fx: &mut Effects) {
+            self.send(fx);
+        }
+        fn cwnd(&self) -> u64 {
+            MSS
+        }
+        fn acked_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    struct PingReceiver {
+        flow: FlowId,
+        spec: FlowSpec,
+        got: u64,
+        seen: Seen,
+    }
+
+    impl ReceiverEndpoint for PingReceiver {
+        fn on_packet(&mut self, pkt: &Packet, _now: Time, fx: &mut Effects) {
+            self.seen.lock().unwrap().push((self.flow, "receiver", pkt.seq, pkt.ack));
+            if self.got == 0 {
+                self.got = pkt.payload;
+                fx.note(Note::Delivered { bytes: pkt.payload });
+                fx.note(Note::ReceiverDone);
+            }
+            let ack = pkt.seq + pkt.payload;
+            fx.send(Packet::ack(self.flow, self.spec.dst, self.spec.src, ack));
+        }
+        fn delivered_bytes(&self) -> u64 {
+            self.got
+        }
+    }
+
+    struct PingStack(Seen);
+
+    impl ProtocolStack for PingStack {
+        fn new_sender(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn SenderEndpoint> {
+            Box::new(PingSender {
+                flow,
+                spec: spec.clone(),
+                seen: self.0.clone(),
+            })
+        }
+        fn new_receiver(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn ReceiverEndpoint> {
+            Box::new(PingReceiver {
+                flow,
+                spec: spec.clone(),
+                got: 0,
+                seen: self.0.clone(),
+            })
+        }
+        fn name(&self) -> &'static str {
+            "ping"
+        }
+    }
+
+    fn ping_sim<A: Application>(
+        n_leaf: usize,
+        hosts_per_leaf: usize,
+        app: A,
+        retire: Option<RetireConfig>,
+    ) -> (Simulator<A>, Vec<NodeId>, Seen) {
+        let (t, hosts, _) = leaf_spine(
+            n_leaf,
+            hosts_per_leaf,
+            Bandwidth::gbps(1),
+            Bandwidth::gbps(10),
+            Dur::micros(1),
+        );
+        let seen = Seen::default();
+        let cfg = SimConfig {
+            retire,
+            ..Default::default()
+        };
+        let sim = Simulator::new(t.build_drop_tail(), Box::new(PingStack(seen.clone())), app, cfg);
+        (sim, hosts, seen)
+    }
+
+    fn retire_at_once() -> RetireConfig {
+        RetireConfig {
+            reuse_after: Dur::ZERO,
+            ..Default::default()
+        }
+    }
+
+    /// Without retirement the flow-slot table holds one slot per flow
+    /// ever started, and nothing per flow is kept per host: the same
+    /// flows over 8 or 120 hosts leave the same table behind.
+    #[test]
+    fn flow_slots_grow_with_flows_not_hosts() {
+        const FLOWS: usize = 48;
+        let mut capacities = Vec::new();
+        for (n_leaf, per_leaf) in [(2, 4), (6, 20)] {
+            let (mut sim, hosts, _) = ping_sim(n_leaf, per_leaf, NullApp, None);
+            let h = hosts.len();
+            let ids: Vec<FlowId> = (0..FLOWS)
+                .map(|i| {
+                    let spec = FlowSpec::sized(hosts[i % h], hosts[(i + h / 2) % h], 1_000);
+                    sim.core_mut().start_flow(spec)
+                })
+                .collect();
+            sim.run();
+            for &id in &ids {
+                assert_eq!(sim.core().flow(id).delivered, 1_000);
+            }
+            let (live, peak, capacity) = sim.core().flow_slab_stats();
+            assert_eq!((live, peak, capacity), (FLOWS, FLOWS, FLOWS), "{h} hosts");
+            assert_eq!(sim.core().flows.capacity(), capacity);
+            capacities.push(capacity);
+        }
+        assert_eq!(capacities[0], capacities[1], "independent of the host count");
+    }
+
+    /// With retirement every slot empties once the run drains, and the
+    /// table is bounded by peak concurrency while ids recycle.
+    #[test]
+    fn retired_flow_slots_are_empty_after_drain() {
+        const FLOWS: u64 = 200;
+        let schedule: Vec<(u64, FlowSpec)> = (0..FLOWS)
+            .map(|i| {
+                let (src, dst) = ((i % 12) as u32, ((i + 5) % 12) as u32);
+                (i * 5_000, FlowSpec::sized(NodeId(src), NodeId(dst), 1_000))
+            })
+            .collect();
+        let (mut sim, _, _) = ping_sim(3, 4, StaticFlows::new(schedule), Some(retire_at_once()));
+        sim.run();
+        let core = sim.core();
+        assert_eq!(core.retirer().expect("retirement on").total(), FLOWS);
+        let (live, peak, capacity) = core.flow_slab_stats();
+        assert_eq!(live, 0, "every slot freed after drain");
+        assert!(core.flows().next().is_none());
+        assert!(
+            capacity == peak && capacity < FLOWS as usize / 4,
+            "ids must recycle: capacity {capacity}, peak {peak}"
+        );
+        assert!(core.packet_arena().is_empty());
+    }
+
+    /// A packet of a retired flow whose id now names a flow between two
+    /// other hosts is stale at either old endpoint: neither new endpoint
+    /// sees it, and its arena slot is still freed.
+    #[test]
+    fn reused_flow_id_on_other_hosts_takes_stale_path() {
+        const STALE: u64 = 0xdead;
+        const B_START: u64 = 1_000_000;
+        let (h0, h1, h2, h3) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let app = StaticFlows::new(vec![
+            (0, FlowSpec::sized(h0, h1, 1_000)),
+            (B_START, FlowSpec::sized(h2, h3, 1_000)),
+        ]);
+        let (mut sim, hosts, seen) = ping_sim(2, 2, app, Some(retire_at_once()));
+        assert_eq!(hosts, vec![h0, h1, h2, h3]);
+        // Flow A (h0 -> h1) retires long before B starts; B reuses its
+        // id. The stale packets land while B is live.
+        let old = FlowId(0);
+        for (node, pkt) in [
+            (h1, Packet::data(old, h0, h1, STALE, 100)),
+            (h0, Packet::ack(old, h1, h0, STALE)),
+        ] {
+            let pkt = sim.core_mut().packets.alloc(pkt);
+            sim.core_mut()
+                .events
+                .schedule(Time(B_START + 1), Event::Arrival { node, port: 0, pkt });
+        }
+        sim.run();
+        let ids = sim.app().flow_ids().to_vec();
+        assert_eq!(ids, vec![Some(old), Some(old)], "B must reuse A's id");
+        assert_eq!(sim.core().retirer().expect("retirement on").total(), 2);
+        let seen = seen.lock().unwrap();
+        assert!(
+            seen.iter().all(|&(_, _, seq, ack)| seq != STALE && ack != STALE),
+            "a new endpoint saw a stale packet: {seen:?}"
+        );
+        // A and B each saw exactly one data packet and one ack.
+        assert_eq!(seen.len(), 4);
+        assert!(sim.core().packet_arena().is_empty());
+    }
+
+    #[test]
+    fn try_start_flow_rejects_bad_endpoints_without_side_effects() {
+        let mut t = TopologyBuilder::new();
+        let h1 = t.host();
+        let h2 = t.host();
+        let s = t.switch();
+        t.link(h1, s, Bandwidth::gbps(1), Dur::micros(1));
+        t.link(h2, s, Bandwidth::gbps(1), Dur::micros(1));
+        let seen = Seen::default();
+        let mut sim = Simulator::new(
+            t.build_drop_tail(),
+            Box::new(PingStack(seen)),
+            NullApp,
+            SimConfig {
+                retire: Some(retire_at_once()),
+                ..Default::default()
+            },
+        );
+        let first = sim.core_mut().start_flow(FlowSpec::sized(h1, h2, 1_000));
+        sim.run();
+        let ghost = NodeId(9);
+        let cases = [
+            (FlowSpec::sized(h1, h1, 1), FlowError::SameEndpoints),
+            (FlowSpec::sized(ghost, h2, 1), FlowError::UnknownNode(ghost)),
+            (FlowSpec::sized(h1, ghost, 1), FlowError::UnknownNode(ghost)),
+            (FlowSpec::sized(s, h2, 1), FlowError::NotAHost(s)),
+            (FlowSpec::sized(h1, s, 1), FlowError::NotAHost(s)),
+        ];
+        for (spec, want) in cases {
+            let core = sim.core_mut();
+            let before = (core.next_flow_id, core.free_ids.len(), core.flow_slab_stats());
+            assert_eq!(core.try_start_flow(spec.clone()), Err(want));
+            let mut api = SimApi { core: &mut *core };
+            assert_eq!(api.try_start_flow(spec), Err(want));
+            let after = (core.next_flow_id, core.free_ids.len(), core.flow_slab_stats());
+            assert_eq!(before, after, "{want:?} must leave no state behind");
+        }
+        assert_eq!(FlowError::SameEndpoints.to_string(), "flow endpoints must differ");
+        assert_eq!(FlowError::UnknownNode(ghost).to_string(), "unknown node 9");
+        assert_eq!(FlowError::NotAHost(s).to_string(), "flow endpoint 2 is not a host");
+        // The retired id was not consumed by the rejected calls.
+        let again = sim.core_mut().try_start_flow(FlowSpec::sized(h2, h1, 1_000));
+        assert_eq!(again, Ok(first));
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid flow: flow endpoint 2 is not a host")]
+    fn start_flow_panics_on_switch_endpoint() {
+        let (mut sim, hosts, _) = ping_sim(1, 2, NullApp, None);
+        sim.core_mut().start_flow(FlowSpec::sized(hosts[0], NodeId(2), 1));
     }
 }

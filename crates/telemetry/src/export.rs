@@ -23,6 +23,7 @@ use std::fs;
 use std::io;
 use std::path::PathBuf;
 use std::process::Command;
+use std::sync::OnceLock;
 
 use metrics::QuantileSketch;
 
@@ -62,17 +63,23 @@ pub struct SimMeta {
 }
 
 /// Best-effort `git describe --always --dirty` of the working tree;
-/// `"unknown"` outside a repository or without git.
+/// `"unknown"` outside a repository or without git. The subprocess runs
+/// once per process and its answer is reused by every later export.
 pub fn git_describe() -> String {
-    Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
+    static DESCRIBE: OnceLock<String> = OnceLock::new();
+    DESCRIBE
+        .get_or_init(|| {
+            Command::new("git")
+                .args(["describe", "--always", "--dirty"])
+                .output()
+                .ok()
+                .filter(|o| o.status.success())
+                .and_then(|o| String::from_utf8(o.stdout).ok())
+                .map(|s| s.trim().to_string())
+                .filter(|s| !s.is_empty())
+                .unwrap_or_else(|| "unknown".to_string())
+        })
+        .clone()
 }
 
 /// Where run artifacts and figure dumps go (`TFC_RESULTS_DIR` overrides
@@ -433,33 +440,34 @@ pub fn retired_from_json(doc: &Value) -> Result<RetiredFlows, String> {
     })
 }
 
-fn flows_json(flows: &[FlowSummary], retired: Option<&RetiredFlows>) -> Value {
-    let live = Value::Array(
-        flows
-            .iter()
-            .map(|f| {
-                crate::json!({
-                    "flow": f.flow,
-                    "src": f.src,
-                    "dst": f.dst,
-                    "bytes": f.bytes,
-                    "delivered": f.delivered,
-                    "retransmits": f.retransmits,
-                    "timeouts": f.timeouts,
-                    "started_ns": f.started_ns,
-                    "established_ns": f.established_ns,
-                    "receiver_done_ns": f.receiver_done_ns,
-                    "sender_done_ns": f.sender_done_ns,
-                })
-            })
-            .collect(),
-    );
-    // A run without retirement keeps the historical bare-array form, so
-    // existing artifact sets stay byte-identical. Retirement upgrades
-    // the document to an object: retired sketches plus the (few) flows
-    // still live at export time.
+/// The text of `flows.json`. A run without retirement keeps the
+/// historical bare-array form, so existing artifact sets stay
+/// byte-identical; it has a record per flow ever started, so it is
+/// streamed rather than built as one document. Retirement upgrades the
+/// document to an object: retired sketches plus the (few) flows still
+/// live at export time.
+fn flows_text(flows: &[FlowSummary], retired: Option<&RetiredFlows>) -> String {
+    let records = flows.iter().map(|f| {
+        crate::json!({
+            "flow": f.flow,
+            "src": f.src,
+            "dst": f.dst,
+            "bytes": f.bytes,
+            "delivered": f.delivered,
+            "retransmits": f.retransmits,
+            "timeouts": f.timeouts,
+            "started_ns": f.started_ns,
+            "established_ns": f.established_ns,
+            "receiver_done_ns": f.receiver_done_ns,
+            "sender_done_ns": f.sender_done_ns,
+        })
+    });
     match retired {
-        None => live,
+        None => {
+            let mut out = String::new();
+            crate::json::write_array(&mut out, 0, records);
+            out
+        }
         Some(r) => crate::json!({
             "schema": "tfc-flows/v2",
             "alpha": r.alpha,
@@ -467,8 +475,9 @@ fn flows_json(flows: &[FlowSummary], retired: Option<&RetiredFlows>) -> Value {
             "slab_capacity": r.slab_capacity,
             "slab_peak": r.slab_peak,
             "classes": Value::Array(r.classes.iter().map(retired_class_json).collect()),
-            "live": live,
-        }),
+            "live": Value::Array(records.collect()),
+        })
+        .pretty(),
     }
 }
 
@@ -582,7 +591,7 @@ pub fn export_run(
     fs::write(dir.join("counters.json"), counters_json(log, loop_stats).pretty())?;
     let events = Value::Array(log.records().iter().map(record_json).collect());
     fs::write(dir.join("events.json"), events.pretty())?;
-    fs::write(dir.join("flows.json"), flows_json(flows, retired).pretty())?;
+    fs::write(dir.join("flows.json"), flows_text(flows, retired))?;
     fs::write(dir.join("tfc_slots.csv"), slots_csv(slots))?;
     if spans.enabled() {
         fs::write(dir.join("spans.json"), spans.to_json().pretty())?;
@@ -600,6 +609,48 @@ mod tests {
     use crate::json;
 
     const NAMES: [&str; 2] = ["arrival", "tx_done"];
+
+    /// Reference for [`flows_text`]: the `flows.json` document built as
+    /// one DOM and pretty-printed. The streamed text must match it byte
+    /// for byte.
+    fn flows_json(flows: &[FlowSummary], retired: Option<&RetiredFlows>) -> Value {
+        let live = Value::Array(
+            flows
+                .iter()
+                .map(|f| {
+                    crate::json!({
+                        "flow": f.flow,
+                        "src": f.src,
+                        "dst": f.dst,
+                        "bytes": f.bytes,
+                        "delivered": f.delivered,
+                        "retransmits": f.retransmits,
+                        "timeouts": f.timeouts,
+                        "started_ns": f.started_ns,
+                        "established_ns": f.established_ns,
+                        "receiver_done_ns": f.receiver_done_ns,
+                        "sender_done_ns": f.sender_done_ns,
+                    })
+                })
+                .collect(),
+        );
+        // A run without retirement keeps the historical bare-array form, so
+        // existing artifact sets stay byte-identical. Retirement upgrades
+        // the document to an object: retired sketches plus the (few) flows
+        // still live at export time.
+        match retired {
+            None => live,
+            Some(r) => crate::json!({
+                "schema": "tfc-flows/v2",
+                "alpha": r.alpha,
+                "retired_total": r.total,
+                "slab_capacity": r.slab_capacity,
+                "slab_peak": r.slab_peak,
+                "classes": Value::Array(r.classes.iter().map(retired_class_json).collect()),
+                "live": live,
+            }),
+        }
+    }
 
     fn sample() -> PortSlotSample {
         PortSlotSample {
@@ -745,8 +796,7 @@ mod tests {
         std::env::remove_var("TFC_RESULTS_DIR");
     }
 
-    #[test]
-    fn retired_flows_json_roundtrips() {
+    fn retired_sample() -> RetiredFlows {
         let mut fct = QuantileSketch::new(0.01);
         let mut bytes = QuantileSketch::new(0.01);
         let mut rtx = QuantileSketch::new(0.01);
@@ -757,7 +807,7 @@ mod tests {
             rtx.record((i % 3) as f64);
             slow.record(1_000.0 + i as f64);
         }
-        let retired = RetiredFlows {
+        RetiredFlows {
             alpha: 0.01,
             total: 500,
             slab_capacity: 32,
@@ -771,7 +821,12 @@ mod tests {
                 retransmits: rtx,
                 slowdown_milli: slow,
             }],
-        };
+        }
+    }
+
+    #[test]
+    fn retired_flows_json_roundtrips() {
+        let retired = retired_sample();
         let doc = flows_json(&[], Some(&retired));
         assert_eq!(doc.get("schema").unwrap().as_str(), Some("tfc-flows/v2"));
         assert!(doc.get("live").unwrap().as_array().unwrap().is_empty());
@@ -779,6 +834,39 @@ mod tests {
         assert_eq!(back, retired, "sketches must survive the JSON roundtrip");
         // The bare-array legacy form is rejected, not misparsed.
         assert!(retired_from_json(&flows_json(&[], None)).is_err());
+    }
+
+    /// The streamed `flows.json` equals the DOM oracle's bytes for 0, 1
+    /// and many flows, in both the bare-array and the retirement form.
+    #[test]
+    fn streamed_flows_json_matches_dom_export() {
+        let many: Vec<FlowSummary> = (0..1_000u64)
+            .map(|i| FlowSummary {
+                flow: i,
+                src: (i % 7) as u32,
+                dst: (i % 11) as u32 + 7,
+                bytes: if i % 5 == 0 { 0 } else { 1_000 * i },
+                delivered: 997 * i,
+                retransmits: i % 3,
+                timeouts: u64::from(i % 17 == 0),
+                started_ns: 10 * i,
+                established_ns: (i % 2 == 0).then_some(20 * i),
+                receiver_done_ns: (i % 3 != 0).then_some(u64::MAX - i),
+                sender_done_ns: (i % 4 == 0).then_some(40 * i),
+            })
+            .collect();
+        let retired = retired_sample();
+        for flows in [&many[..0], &many[..1], &many[..]] {
+            for r in [None, Some(&retired)] {
+                assert_eq!(
+                    flows_text(flows, r),
+                    flows_json(flows, r).pretty(),
+                    "{} flows, retired {}",
+                    flows.len(),
+                    r.is_some()
+                );
+            }
+        }
     }
 
     #[test]

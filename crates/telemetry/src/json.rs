@@ -28,6 +28,7 @@
 //! `parse` may return [`Value::Int`] where the writer saw a float; the
 //! numeric accessors ([`Value::as_i64`], [`Value::as_f64`]) accept both.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -137,22 +138,7 @@ impl Value {
                 }
             }
             Value::Str(s) => write_escaped(out, s),
-            Value::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent + 1);
-                    item.write(out, indent + 1);
-                }
-                newline_indent(out, indent);
-                out.push(']');
-            }
+            Value::Array(items) => write_array(out, indent, items),
             Value::Object(map) => {
                 if map.is_empty() {
                     out.push_str("{}");
@@ -173,6 +159,27 @@ impl Value {
             }
         }
     }
+}
+
+/// Pretty-prints `items` as an array at `indent`: the bytes of
+/// `Value::Array`, but written as the items are drawn, never all held.
+pub(crate) fn write_array<V: Borrow<Value>>(
+    out: &mut String,
+    indent: usize,
+    items: impl IntoIterator<Item = V>,
+) {
+    out.push('[');
+    let mut empty = true;
+    for item in items {
+        out.push_str(if empty { "" } else { "," });
+        empty = false;
+        newline_indent(out, indent + 1);
+        item.borrow().write(out, indent + 1);
+    }
+    if !empty {
+        newline_indent(out, indent);
+    }
+    out.push(']');
 }
 
 fn newline_indent(out: &mut String, indent: usize) {

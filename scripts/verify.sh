@@ -37,6 +37,18 @@ cargo test -q -p tfc-repro --test ecmp
 # meshes, alongside the topology builder's typed-error tests.
 cargo test -q -p tfc-simnet --lib topology
 
+# Per-flow slots: every flow's state, endpoints and timer handles live in
+# one slot table sized by flows, not hosts; retired slots empty after a
+# drain; a packet of a retired flow whose id was reused between other
+# hosts takes the stale path; try_start_flow rejects bad endpoints
+# without allocating an id.
+cargo test -q -p tfc-simnet --lib flow
+
+# Streamed flows.json: the one-record-at-a-time writer must equal the
+# one-document oracle byte for byte (0, 1 and many flows, with and
+# without retirement).
+cargo test -q -p tfc-telemetry --lib export
+
 # tfc-trace must summarize a smoke-run artifact bundle from the files
 # alone (exported into a scratch dir so committed results/ stay put).
 TRACE_DIR="$(mktemp -d)"
