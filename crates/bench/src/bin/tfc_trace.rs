@@ -23,12 +23,12 @@
 //! ```
 //!
 //! The summary is built from the artifact files alone (manifest.json,
-//! counters.json, events.json, flows.json, tfc_slots.csv, spans.json) —
-//! nothing is recomputed from a live simulation, so the tool works on
-//! bundles from any machine or commit.
+//! counters.json, events.json, flows.json, tfc_slots.csv, queues.csv,
+//! spans.json) — nothing is recomputed from a live simulation, so the
+//! tool works on bundles from any machine or commit.
 //!
 //! `diff` walks the artifacts in causal order — manifest, counters,
-//! event log, flow summaries, slot gauges, span sketches, legacy trace
+//! event log, flow summaries, slot gauges, span sketches, sampled queue
 //! series — and stops at the first file that disagrees, pinpointing the
 //! diverging key, record, line, or sketch. Exit status follows
 //! `diff(1)`: 0 when identical, 1 on divergence, 2 on error.
@@ -39,7 +39,7 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 use metrics::Sampler;
-use telemetry::export::parse_slots_csv;
+use telemetry::export::{parse_queues_csv, parse_slots_csv};
 use telemetry::json::{self, Value};
 
 fn main() -> ExitCode {
@@ -369,9 +369,34 @@ fn try_summarize(dir: &Path) -> Result<(), String> {
         }
     }
 
+    queue_summary(dir)?;
     spray_balance(recs, &n);
     waterfall(dir)?;
     fault_summary(recs, &slots, &s, &n);
+    Ok(())
+}
+
+/// Mean and max occupancy of every sampled `(node, port)` queue, from
+/// `queues.csv` (absent when the run registered no sampler).
+fn queue_summary(dir: &Path) -> Result<(), String> {
+    let Ok(text) = fs::read_to_string(dir.join("queues.csv")) else {
+        return Ok(());
+    };
+    let samples = parse_queues_csv(&text)?;
+    let mut per_port: BTreeMap<(u32, u16), (u64, u64, u64)> = BTreeMap::new();
+    for q in &samples {
+        let e = per_port.entry((q.node, q.port)).or_insert((0, 0, 0));
+        e.0 += 1;
+        e.1 += q.bytes;
+        e.2 = e.2.max(q.bytes);
+    }
+    println!("\nsampled queues ({} samples):", samples.len());
+    for ((node, port), (count, sum, max)) in per_port {
+        println!(
+            "  node {node} port {port}: {count} samples  mean {:.0} B  max {max} B",
+            sum as f64 / count as f64,
+        );
+    }
     Ok(())
 }
 
@@ -544,7 +569,7 @@ const DIFF_FILES: [&str; 7] = [
     "flows.json",
     "tfc_slots.csv",
     "spans.json",
-    "traces.csv",
+    "queues.csv",
 ];
 
 /// Compares two run directories artifact by artifact; returns the first

@@ -3,27 +3,36 @@
 use metrics::TimeSeries;
 use simnet::packet::NodeId;
 use simnet::sim::SimCore;
-use simnet::trace::QueueSampler;
 use simnet::units::{Dur, Time};
+use telemetry::PortSlotSample;
 
-/// Attaches a periodic queue-length sampler to `(switch, port)` under the
-/// given trace key.
-pub fn sample_queue(core: &mut SimCore, switch: NodeId, port: usize, every: Dur, key: &str) {
-    core.add_queue_sampler(QueueSampler {
-        node: switch,
-        port,
-        every,
-        key: key.to_owned(),
-        until: None,
-    });
+/// The queue-occupancy series `(at_ns, bytes)` sampled at `(node, port)`
+/// (see [`SimCore::sample_queue`]), or empty if that port was not
+/// sampled.
+pub fn queue_points(core: &SimCore, node: NodeId, port: usize) -> Vec<(u64, f64)> {
+    core.telemetry()
+        .queues
+        .iter()
+        .filter(|s| s.node == node.0 && usize::from(s.port) == port)
+        .map(|s| (s.at_ns, s.bytes as f64))
+        .collect()
 }
 
-/// Points of a named trace, or empty if absent.
-pub fn trace_points(core: &SimCore, key: &str) -> Vec<(u64, f64)> {
-    core.trace()
-        .get(key)
-        .map(|ts| ts.points().to_vec())
-        .unwrap_or_default()
+/// One TFC slot gauge of `(node, port)` as an `(at_ns, value)` series,
+/// or empty unless the run collected gauges
+/// ([`telemetry::TelemetryConfig::tfc_gauges`]).
+pub fn slot_points(
+    core: &SimCore,
+    node: NodeId,
+    port: usize,
+    gauge: impl Fn(&PortSlotSample) -> f64,
+) -> Vec<(u64, f64)> {
+    core.telemetry()
+        .slots
+        .iter()
+        .filter(|s| s.node == node.0 && usize::from(s.port) == port)
+        .map(|s| (s.at_ns, gauge(s)))
+        .collect()
 }
 
 /// Sums several equally-windowed rate series point-wise (aggregate
@@ -139,10 +148,10 @@ mod tests {
 
     #[test]
     fn sum_series_pads() {
-        let mut a = TimeSeries::new("a");
+        let mut a = TimeSeries::new();
         a.push(10, 1.0);
         a.push(20, 2.0);
-        let mut b = TimeSeries::new("b");
+        let mut b = TimeSeries::new();
         b.push(10, 5.0);
         let sum = sum_series(&[&a, &b]);
         assert_eq!(sum, vec![(10, 6.0), (20, 2.0)]);
@@ -150,7 +159,7 @@ mod tests {
 
     #[test]
     fn convergence_detects_hold() {
-        let mut s = TimeSeries::new("r");
+        let mut s = TimeSeries::new();
         for (i, v) in [0.0, 0.2, 0.95, 1.02, 0.97, 1.0, 0.5].iter().enumerate() {
             s.push(i as u64 * 10, *v);
         }

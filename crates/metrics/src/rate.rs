@@ -12,7 +12,7 @@ use crate::{timeseries::TimeSeries, NANOS_PER_SEC};
 ///
 /// ```
 /// // 1 ms windows; 125_000 bytes per window = 1 Gbps.
-/// let mut m = tfc_metrics::RateMeter::new("flow0", 1_000_000);
+/// let mut m = tfc_metrics::RateMeter::new(1_000_000);
 /// m.add(0, 125_000);
 /// m.flush(2_000_000);
 /// let pts = m.series().points();
@@ -32,13 +32,13 @@ impl RateMeter {
     /// # Panics
     ///
     /// Panics if `window_ns` is zero.
-    pub fn new(name: impl Into<String>, window_ns: u64) -> Self {
+    pub fn new(window_ns: u64) -> Self {
         assert!(window_ns > 0, "zero window");
         Self {
             window_ns,
             window_start: 0,
             bytes_in_window: 0,
-            series: TimeSeries::new(name),
+            series: TimeSeries::new(),
         }
     }
 
@@ -81,7 +81,7 @@ mod tests {
 
     #[test]
     fn emits_rate_per_window() {
-        let mut m = RateMeter::new("f", 1_000_000);
+        let mut m = RateMeter::new(1_000_000);
         m.add(100, 125_000); // 1 Gbps worth in 1 ms
         m.add(1_500_000, 62_500); // 0.5 Gbps worth in the second window
         m.flush(2_000_000);
@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn zero_windows_emitted() {
-        let mut m = RateMeter::new("f", 1_000);
+        let mut m = RateMeter::new(1_000);
         m.flush(3_000);
         assert_eq!(m.series().len(), 3);
         assert_eq!(m.mean_bps(), 0.0);
@@ -101,7 +101,7 @@ mod tests {
 
     #[test]
     fn late_add_closes_intermediate_windows() {
-        let mut m = RateMeter::new("f", 1_000);
+        let mut m = RateMeter::new(1_000);
         m.add(0, 10);
         m.add(2_500, 10);
         m.flush(3_000);
@@ -113,6 +113,6 @@ mod tests {
     #[test]
     #[should_panic]
     fn zero_window_rejected() {
-        RateMeter::new("f", 0);
+        RateMeter::new(0);
     }
 }

@@ -8,30 +8,21 @@
 /// # Examples
 ///
 /// ```
-/// let mut ts = tfc_metrics::TimeSeries::new("queue_len");
+/// let mut ts = tfc_metrics::TimeSeries::new();
 /// ts.push(0, 0.0);
 /// ts.push(1_000, 1500.0);
 /// assert_eq!(ts.len(), 2);
 /// assert_eq!(ts.max_value(), Some(1500.0));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct TimeSeries {
-    name: String,
     points: Vec<(u64, f64)>,
 }
 
 impl TimeSeries {
-    /// Creates an empty, named series.
-    pub fn new(name: impl Into<String>) -> Self {
-        Self {
-            name: name.into(),
-            points: Vec::new(),
-        }
-    }
-
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
+    /// Creates an empty series.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Appends a point.
@@ -74,25 +65,6 @@ impl TimeSeries {
         Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
     }
 
-    /// Time-weighted mean over the trace duration, treating the series as
-    /// a step function; `None` when fewer than two points exist.
-    pub fn time_weighted_mean(&self) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut area = 0.0;
-        let mut span = 0.0;
-        for w in self.points.windows(2) {
-            let dt = (w[1].0 - w[0].0) as f64;
-            area += w[0].1 * dt;
-            span += dt;
-        }
-        if span == 0.0 {
-            return self.mean_value();
-        }
-        Some(area / span)
-    }
-
     /// Restricts to points with `t` in `[start, end)`.
     pub fn window(&self, start: u64, end: u64) -> impl Iterator<Item = (u64, f64)> + '_ {
         self.points
@@ -121,7 +93,7 @@ mod tests {
 
     #[test]
     fn push_and_query() {
-        let mut ts = TimeSeries::new("q");
+        let mut ts = TimeSeries::new();
         ts.push(0, 1.0);
         ts.push(10, 3.0);
         ts.push(10, 2.0);
@@ -133,24 +105,14 @@ mod tests {
     #[test]
     #[should_panic]
     fn rejects_time_reversal() {
-        let mut ts = TimeSeries::new("q");
+        let mut ts = TimeSeries::new();
         ts.push(10, 1.0);
         ts.push(5, 1.0);
     }
 
     #[test]
-    fn time_weighted_mean_step() {
-        let mut ts = TimeSeries::new("q");
-        ts.push(0, 10.0);
-        ts.push(100, 0.0);
-        ts.push(200, 0.0);
-        // 10 for half the span, 0 for the other half.
-        assert_eq!(ts.time_weighted_mean(), Some(5.0));
-    }
-
-    #[test]
     fn window_filters() {
-        let mut ts = TimeSeries::new("q");
+        let mut ts = TimeSeries::new();
         for t in 0..10 {
             ts.push(t, t as f64);
         }
@@ -160,7 +122,7 @@ mod tests {
 
     #[test]
     fn sampled_bounds_size() {
-        let mut ts = TimeSeries::new("q");
+        let mut ts = TimeSeries::new();
         for t in 0..1000 {
             ts.push(t, 0.0);
         }

@@ -54,7 +54,7 @@ pub enum Event {
         /// Application-defined timer payload.
         token: u64,
     },
-    /// A trace sampler tick.
+    /// A queue sampler tick.
     Sample {
         /// Index into the sampler table.
         sampler: usize,

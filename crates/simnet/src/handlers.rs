@@ -16,7 +16,7 @@
 
 use rng::rngs::StdRng;
 use rng::Rng;
-use telemetry::{Telemetry, TraceEvent};
+use telemetry::{QueueSample, Telemetry, TraceEvent};
 
 use crate::arena::{PacketArena, PacketId};
 use crate::endpoint::Effects;
@@ -139,16 +139,18 @@ impl SimCore {
         self.apply_policy_fx(node, fx);
     }
 
-    /// A periodic queue sampler ticks. Reads the sampler in place
-    /// (disjoint field borrows) instead of cloning it every firing.
+    /// A periodic queue sampler ticks. Its target was validated at
+    /// registration ([`SimCore::sample_queue`]).
     fn on_sample(&mut self, sampler: usize) {
-        let s = &self.samplers[sampler];
-        let bytes = self.nodes[s.node.0 as usize].port(s.port).queue.bytes();
-        self.trace.record(&s.key, self.now, bytes as f64);
-        let next = self.now + s.every;
-        let past_until = s.until.is_some_and(|u| next > u);
-        let past_end = self.cfg.end.is_some_and(|e| next > e);
-        if !past_until && !past_end {
+        let (node, port, every) = self.samplers[sampler];
+        self.telemetry.queues.push(QueueSample {
+            at_ns: self.now.nanos(),
+            node: node.0,
+            port: port as u16,
+            bytes: self.nodes[node.0 as usize].port(port).queue.bytes(),
+        });
+        let next = self.now + every;
+        if !self.cfg.end.is_some_and(|e| next > e) {
             self.events.schedule(next, Event::Sample { sampler });
         }
     }
@@ -544,9 +546,6 @@ impl SimCore {
                 .events
                 .schedule_cancellable(self.now + after, Event::PolicyTimer { node, token });
             self.policy_timers[node.0 as usize].push((token, handle));
-        }
-        for (key, value) in fx.traces {
-            self.trace.record(&key, self.now, value);
         }
         for pkt in fx.inject {
             // Policy-owned packets (re)enter the fabric here; a no-route

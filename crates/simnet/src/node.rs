@@ -377,6 +377,14 @@ impl Node {
         }
     }
 
+    /// Number of ports: one NIC on a host, one per link on a switch.
+    pub fn port_count(&self) -> usize {
+        match self {
+            Node::Host(_) => 1,
+            Node::Switch(s) => s.ports.len(),
+        }
+    }
+
     /// Mutable access to a port by index.
     ///
     /// # Panics

@@ -28,7 +28,6 @@ use crate::packet::{FlowId, NodeId};
 use crate::retire::{FlowRetirer, RetireConfig};
 use crate::sched::{SchedulerKind, TimerHandle};
 use crate::topology::Network;
-use crate::trace::{QueueSampler, TraceCenter};
 use crate::units::{Dur, Time};
 
 /// XOR tag deriving the fault RNG stream from the run seed, so loss-
@@ -172,6 +171,36 @@ impl std::fmt::Display for FlowError {
 
 impl std::error::Error for FlowError {}
 
+/// Why a request naming a `(node, port)` target was rejected at
+/// registration, before it could fail mid-run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetError {
+    /// The network has no node with this id.
+    UnknownNode(NodeId),
+    /// The node exists but has no port with this index.
+    NoSuchPort {
+        /// The node.
+        node: NodeId,
+        /// The requested port index.
+        port: usize,
+        /// How many ports the node has.
+        ports: usize,
+    },
+}
+
+impl std::fmt::Display for TargetError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TargetError::UnknownNode(n) => write!(f, "unknown node {}", n.0),
+            TargetError::NoSuchPort { node, port, ports } => {
+                write!(f, "node {} has no port {port} (it has {ports})", node.0)
+            }
+        }
+    }
+}
+
+impl std::error::Error for TargetError {}
+
 pub(crate) enum AppCall {
     Timer(u64),
     Flow(FlowEvent),
@@ -210,8 +239,9 @@ pub struct SimCore {
     pub(crate) policy_timers: Vec<Vec<(u64, TimerHandle)>>,
     pub(crate) rng: StdRng,
     pub(crate) fault_rng: StdRng,
-    pub(crate) trace: TraceCenter,
-    pub(crate) samplers: Vec<QueueSampler>,
+    /// Periodic queue samplers `(node, port, every)`, indexed by
+    /// `Event::Sample`.
+    pub(crate) samplers: Vec<(NodeId, usize, Dur)>,
     pub(crate) pending_app: VecDeque<AppCall>,
     pub(crate) cfg: SimConfig,
     pub(crate) stopped: bool,
@@ -379,7 +409,7 @@ impl SimCore {
     /// Attaches a goodput meter (window `window`) to a flow.
     pub fn meter_flow(&mut self, flow: FlowId, window: Dur) {
         let state = &mut self.flows.get_mut(flow).expect("flow exists").state;
-        state.meter = Some(RateMeter::new(format!("flow{}", flow.0), window.as_nanos()));
+        state.meter = Some(RateMeter::new(window.as_nanos()));
     }
 
     /// Requests `Delivered` events for a flow.
@@ -400,12 +430,30 @@ impl SimCore {
             .watch_rtt = true;
     }
 
-    /// Registers a periodic queue-length sampler.
-    pub fn add_queue_sampler(&mut self, s: QueueSampler) {
-        let at = self.now + s.every;
+    /// Samples the bytes queued at `node`'s `port` every `every`, from
+    /// `now + every` until [`SimConfig::end`], into
+    /// [`Telemetry::queues`](telemetry::Telemetry::queues) (exported as
+    /// `queues.csv`). A run without an end never drains while a sampler
+    /// is registered. A target the network does not have is rejected
+    /// here, before anything is scheduled.
+    pub fn sample_queue(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        every: Dur,
+    ) -> Result<(), TargetError> {
+        let ports = self
+            .nodes
+            .get(node.0 as usize)
+            .ok_or(TargetError::UnknownNode(node))?
+            .port_count();
+        if port >= ports {
+            return Err(TargetError::NoSuchPort { node, port, ports });
+        }
         let idx = self.samplers.len();
-        self.samplers.push(s);
-        self.events.schedule(at, Event::Sample { sampler: idx });
+        self.samplers.push((node, port, every));
+        self.events.schedule(self.now + every, Event::Sample { sampler: idx });
+        Ok(())
     }
 
     /// The seeded RNG (shared by workloads for reproducibility).
@@ -437,11 +485,6 @@ impl SimCore {
     /// flows are absent: their statistics live in [`SimCore::retirer`].
     pub fn flows(&self) -> impl Iterator<Item = (FlowId, &FlowState)> {
         self.flows.iter().map(|(id, slot)| (id, &slot.state))
-    }
-
-    /// The collected traces.
-    pub fn trace(&self) -> &TraceCenter {
-        &self.trace
     }
 
     /// The structured telemetry state (event log, loop counters, TFC
@@ -830,7 +873,6 @@ impl<A: Application> Simulator<A> {
                 policy_timers,
                 rng: StdRng::seed_from_u64(cfg.seed),
                 fault_rng: StdRng::seed_from_u64(cfg.seed ^ FAULT_RNG_TAG),
-                trace: TraceCenter::new(),
                 samplers: Vec::new(),
                 pending_app: VecDeque::new(),
                 cfg,
@@ -888,7 +930,7 @@ impl<A: Application> Simulator<A> {
         }
     }
 
-    /// Read access to the core (traces, flows, stats).
+    /// Read access to the core (telemetry, flows, stats).
     pub fn core(&self) -> &SimCore {
         &self.core
     }
@@ -1134,22 +1176,49 @@ mod tests {
     #[test]
     fn queue_sampler_records_series() {
         let (mut sim, flow) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
+        sim.core_mut().cfg.end = Some(Time(50_000));
         let sw = sim.core().switch_ids()[0];
-        sim.core_mut()
-            .add_queue_sampler(crate::trace::QueueSampler {
-                node: sw,
-                port: 1,
-                every: Dur::micros(5),
-                key: "q".into(),
-                until: Some(Time(50_000)),
-            });
+        sim.core_mut().sample_queue(sw, 1, Dur::micros(5)).unwrap();
         for _ in 0..8 {
             sim.core_mut().push_data(flow, MSS);
         }
         sim.run();
-        let ts = sim.core().trace().get("q").expect("series exists");
-        assert!(ts.len() >= 9, "only {} samples", ts.len());
-        assert!(ts.max_value().unwrap() > 0.0, "queue never observed");
+        let q = &sim.core().telemetry().queues;
+        assert_eq!(q.len(), 10, "one sample per 5 µs up to the 50 µs end");
+        assert!(q.iter().all(|s| (s.node, s.port) == (sw.0, 1)));
+        assert_eq!(q[0].at_ns, 5_000);
+        assert!(q.iter().any(|s| s.bytes > 0), "queue never observed");
+    }
+
+    #[test]
+    fn sample_queue_rejects_bad_targets_before_scheduling() {
+        let (mut sim, _) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
+        let h1 = sim.core().host_ids()[0];
+        let sw = sim.core().switch_ids()[0];
+        let ghost = NodeId(9);
+        let core = sim.core_mut();
+        let pending = core.events.len();
+        assert_eq!(
+            core.sample_queue(ghost, 0, Dur::micros(5)),
+            Err(TargetError::UnknownNode(ghost))
+        );
+        assert_eq!(
+            core.sample_queue(sw, 2, Dur::micros(5)),
+            Err(TargetError::NoSuchPort { node: sw, port: 2, ports: 2 })
+        );
+        assert_eq!(
+            core.sample_queue(h1, 1, Dur::micros(5)),
+            Err(TargetError::NoSuchPort { node: h1, port: 1, ports: 1 })
+        );
+        assert!(core.samplers.is_empty());
+        assert_eq!(core.events.len(), pending, "nothing scheduled");
+        assert_eq!(TargetError::UnknownNode(ghost).to_string(), "unknown node 9");
+        assert_eq!(
+            TargetError::NoSuchPort { node: sw, port: 2, ports: 2 }.to_string(),
+            "node 2 has no port 2 (it has 2)"
+        );
+        // A host's NIC is port 0.
+        core.sample_queue(h1, 0, Dur::micros(5)).unwrap();
     }
 
     #[test]

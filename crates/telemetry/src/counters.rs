@@ -1,4 +1,5 @@
-//! Sim-wide event-loop counters and per-port TFC slot gauges.
+//! Sim-wide event-loop counters, per-port TFC slot gauges and periodic
+//! queue-occupancy samples.
 
 /// Per-event-type counts and (optionally) cumulative wall-clock time
 /// spent handling each type — the simulator's built-in profiling hook.
@@ -98,6 +99,20 @@ pub struct PortSlotSample {
     pub held_acks: u64,
     /// Cumulative ACKs ever delayed by the arbiter (activations).
     pub delayed_total: u64,
+}
+
+/// One periodic queue-occupancy sample of a port, taken by a sampler
+/// registered with the simulator (`SimCore::sample_queue`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QueueSample {
+    /// Sample time in nanoseconds.
+    pub at_ns: u64,
+    /// The sampled node (switch or host).
+    pub node: u32,
+    /// Port index at that node.
+    pub port: u16,
+    /// Bytes queued at the port.
+    pub bytes: u64,
 }
 
 #[cfg(test)]

@@ -12,8 +12,8 @@
 //! * `spans.json` — per-hop lifecycle-span sketches (only when span
 //!   tracing is on, so `TraceConfig::Off` artifact sets stay
 //!   byte-identical to pre-span runs);
-//! * `traces.csv` — the legacy named rho/queue time series from
-//!   `simnet::trace::TraceCenter` (only when non-empty).
+//! * `queues.csv` — periodic queue occupancy of every sampled
+//!   `(node, port)` (only when a sampler was registered).
 //!
 //! Everything is plain JSON/CSV readable by `tfc-trace` (via
 //! [`crate::json::parse`]) or any external tool.
@@ -27,7 +27,7 @@ use std::sync::OnceLock;
 
 use metrics::QuantileSketch;
 
-use crate::counters::{LoopStats, PortSlotSample};
+use crate::counters::{LoopStats, PortSlotSample, QueueSample};
 use crate::event::{EventLog, EventRecord, TraceEvent, EVENT_KIND_NAMES};
 use crate::json::{Map, Value};
 use crate::span::SpanTracker;
@@ -509,42 +509,60 @@ fn slots_csv(slots: &[PortSlotSample]) -> String {
     out
 }
 
+/// The data rows of a CSV body whose first line must be `header`, each
+/// split into exactly `fields` cells and paired with its 1-indexed line.
+fn csv_rows<'a>(
+    text: &'a str,
+    header: &str,
+    fields: usize,
+) -> Result<Vec<(usize, Vec<&'a str>)>, String> {
+    let mut lines = text.lines();
+    match lines.next() {
+        Some(h) if h == header => {}
+        other => return Err(format!("bad header {other:?}, expected {header:?}")),
+    }
+    lines
+        .enumerate()
+        .filter(|(_, line)| !line.is_empty())
+        .map(|(i, line)| {
+            let f: Vec<&str> = line.split(',').collect();
+            if f.len() != fields {
+                return Err(format!("row {}: expected {fields} fields, got {}", i + 2, f.len()));
+            }
+            Ok((i + 2, f))
+        })
+        .collect()
+}
+
+/// Parses cell `j` of the CSV row on line `line`.
+fn cell<T: std::str::FromStr>(f: &[&str], j: usize, line: usize) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    f[j].parse().map_err(|e| format!("row {line}: {e}"))
+}
+
 /// Parses one `tfc_slots.csv` body back into samples (inverse of the
 /// exporter; used by `tfc-trace`).
 pub fn parse_slots_csv(text: &str) -> Result<Vec<PortSlotSample>, String> {
-    let mut lines = text.lines();
-    match lines.next() {
-        Some(h) if h == SLOTS_CSV_HEADER => {}
-        other => return Err(format!("bad tfc_slots.csv header: {other:?}")),
-    }
-    let mut out = Vec::new();
-    for (i, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() != 11 {
-            return Err(format!("row {}: expected 11 fields, got {}", i + 2, f.len()));
-        }
-        let num =
-            |j: usize| -> Result<f64, String> { f[j].parse().map_err(|e| format!("row {}: {e}", i + 2)) };
-        let int =
-            |j: usize| -> Result<u64, String> { f[j].parse().map_err(|e| format!("row {}: {e}", i + 2)) };
-        out.push(PortSlotSample {
-            at_ns: int(0)?,
-            node: int(1)? as u32,
-            port: int(2)? as u16,
-            token_bytes: num(3)?,
-            effective_flows: num(4)?,
-            rho: num(5)?,
-            window_bytes: int(6)?,
-            rtt_b_ns: int(7)?,
-            rtt_m_ns: int(8)?,
-            held_acks: int(9)?,
-            delayed_total: int(10)?,
-        });
-    }
-    Ok(out)
+    csv_rows(text, SLOTS_CSV_HEADER, 11)?
+        .into_iter()
+        .map(|(l, f)| {
+            Ok(PortSlotSample {
+                at_ns: cell(&f, 0, l)?,
+                node: cell(&f, 1, l)?,
+                port: cell(&f, 2, l)?,
+                token_bytes: cell(&f, 3, l)?,
+                effective_flows: cell(&f, 4, l)?,
+                rho: cell(&f, 5, l)?,
+                window_bytes: cell(&f, 6, l)?,
+                rtt_b_ns: cell(&f, 7, l)?,
+                rtt_m_ns: cell(&f, 8, l)?,
+                held_acks: cell(&f, 9, l)?,
+                delayed_total: cell(&f, 10, l)?,
+            })
+        })
+        .collect()
 }
 
 /// Writes just `results/<manifest.run>/manifest.json` — for runs whose
@@ -557,26 +575,42 @@ pub fn write_manifest(manifest: &RunManifest) -> io::Result<PathBuf> {
     Ok(dir)
 }
 
-/// Column header of `traces.csv` (flattened legacy named time series).
-pub const TRACES_CSV_HEADER: &str = "series,at_ns,value";
+/// Column header of `queues.csv`.
+pub const QUEUES_CSV_HEADER: &str = "node,port,at_ns,bytes";
 
-fn traces_csv(series: &[(&str, &[(u64, f64)])]) -> String {
-    let mut out = String::from(TRACES_CSV_HEADER);
+fn queues_csv(queues: &[QueueSample]) -> String {
+    let mut out = String::with_capacity(32 * (queues.len() + 1));
+    out.push_str(QUEUES_CSV_HEADER);
     out.push('\n');
-    for (name, points) in series {
-        for (at_ns, value) in *points {
-            let _ = writeln!(out, "{name},{at_ns},{value}");
-        }
+    for q in queues {
+        let _ = writeln!(out, "{},{},{},{}", q.node, q.port, q.at_ns, q.bytes);
     }
     out
+}
+
+/// Parses one `queues.csv` body back into samples (inverse of the
+/// exporter; used by `tfc-trace`).
+pub fn parse_queues_csv(text: &str) -> Result<Vec<QueueSample>, String> {
+    csv_rows(text, QUEUES_CSV_HEADER, 4)?
+        .into_iter()
+        .map(|(l, f)| {
+            Ok(QueueSample {
+                node: cell(&f, 0, l)?,
+                port: cell(&f, 1, l)?,
+                at_ns: cell(&f, 2, l)?,
+                bytes: cell(&f, 3, l)?,
+            })
+        })
+        .collect()
 }
 
 /// Writes the full artifact set under `results/<manifest.run>/` and
 /// returns the directory path.
 ///
 /// `spans.json` is written only when span tracing is enabled and
-/// `traces.csv` only when legacy series exist, so a `TraceConfig::Off`
-/// run without samplers produces exactly the historical five files.
+/// `queues.csv` only when a queue sampler recorded something, so a
+/// `TraceConfig::Off` run without samplers produces exactly the
+/// historical five files.
 pub fn export_run(
     manifest: &RunManifest,
     log: &EventLog,
@@ -585,7 +619,7 @@ pub fn export_run(
     flows: &[FlowSummary],
     retired: Option<&RetiredFlows>,
     spans: &SpanTracker,
-    series: &[(&str, &[(u64, f64)])],
+    queues: &[QueueSample],
 ) -> io::Result<PathBuf> {
     let dir = write_manifest(manifest)?;
     fs::write(dir.join("counters.json"), counters_json(log, loop_stats).pretty())?;
@@ -596,8 +630,8 @@ pub fn export_run(
     if spans.enabled() {
         fs::write(dir.join("spans.json"), spans.to_json().pretty())?;
     }
-    if !series.is_empty() {
-        fs::write(dir.join("traces.csv"), traces_csv(series))?;
+    if !queues.is_empty() {
+        fs::write(dir.join("queues.csv"), queues_csv(queues))?;
     }
     Ok(dir)
 }
@@ -725,7 +759,13 @@ mod tests {
         spans.on_enqueue(1, 7, true, true, 0);
         spans.on_dequeue(1, 7, 50);
         spans.on_deliver(1, 7, 0, 120);
-        let points: &[(u64, f64)] = &[(10, 0.5), (20, 0.75)];
+        let first = QueueSample {
+            at_ns: 10,
+            node: 1,
+            port: 0,
+            bytes: 1_500,
+        };
+        let queues = [first, QueueSample { at_ns: 20, bytes: 3_000, ..first }];
         let out = export_run(
             &manifest,
             &log,
@@ -734,7 +774,7 @@ mod tests {
             &flows,
             None,
             &spans,
-            &[("sw1.p0.rho", points)],
+            &queues,
         )
         .unwrap();
         for f in [
@@ -744,7 +784,7 @@ mod tests {
             "flows.json",
             "tfc_slots.csv",
             "spans.json",
-            "traces.csv",
+            "queues.csv",
         ] {
             assert!(out.join(f).exists(), "{f} missing");
         }
@@ -756,9 +796,12 @@ mod tests {
         assert_eq!(sim.get("trace").unwrap().as_str(), Some("full"));
         let sp = json::parse(&std::fs::read_to_string(out.join("spans.json")).unwrap()).unwrap();
         assert_eq!(sp.get("tracked_packets").unwrap().as_i64(), Some(1));
-        let tr = std::fs::read_to_string(out.join("traces.csv")).unwrap();
-        assert!(tr.starts_with(TRACES_CSV_HEADER));
-        assert!(tr.contains("sw1.p0.rho,10,0.5"));
+        let q = std::fs::read_to_string(out.join("queues.csv")).unwrap();
+        assert!(q.starts_with(QUEUES_CSV_HEADER));
+        assert!(q.contains("\n1,0,10,1500\n"));
+        assert_eq!(parse_queues_csv(&q).unwrap(), queues);
+        assert!(parse_queues_csv("nope\n1,2").is_err());
+        assert!(parse_queues_csv(&format!("{QUEUES_CSV_HEADER}\n1,2,3")).is_err());
         let c = json::parse(&std::fs::read_to_string(out.join("counters.json")).unwrap()).unwrap();
         assert_eq!(
             c.get("events").unwrap().get("pkt_drop").unwrap().as_i64(),
@@ -788,7 +831,7 @@ mod tests {
         )
         .unwrap();
         assert!(!out_off.join("spans.json").exists());
-        assert!(!out_off.join("traces.csv").exists());
+        assert!(!out_off.join("queues.csv").exists());
         let m_off =
             json::parse(&std::fs::read_to_string(out_off.join("manifest.json")).unwrap()).unwrap();
         assert!(m_off.get("sim").is_none());

@@ -1,18 +1,22 @@
 //! Structured telemetry for the TFC reproduction.
 //!
-//! Three pieces, all opt-in and near-zero-cost when disabled:
+//! The pieces, all opt-in and near-zero-cost when disabled:
 //!
 //! * [`event::EventLog`] — typed packet/flow lifecycle records with a
 //!   bounded ring mode and a deterministic sampling filter;
-//! * [`counters::LoopStats`] and [`counters::PortSlotSample`] — sim-wide
-//!   per-event-type counters (with an optional wall-clock profiling
-//!   hook) and per-port TFC gauges sampled at every slot close;
+//! * [`counters::LoopStats`], [`counters::PortSlotSample`] and
+//!   [`counters::QueueSample`] — sim-wide per-event-type counters (with
+//!   an optional wall-clock profiling hook), per-port TFC gauges sampled
+//!   at every slot close, and periodic queue occupancy of the ports a
+//!   sampler was registered on. These are the only time series the
+//!   simulator records: experiments read them back from [`Telemetry`]
+//!   in-process, and the same values leave in the exported bundle;
 //! * [`span::SpanTracker`] — causal per-packet lifecycle spans (queue
 //!   wait, wire, token wait, end-to-end) aggregated per hop into
 //!   streaming quantile sketches, behind a [`TraceConfig`];
 //! * [`export`] — per-run artifact writers (`results/<run>/`:
-//!   manifest, counters, events, flows, slot CSV, span sketches)
-//!   consumed by the `tfc-trace` binary.
+//!   manifest, counters, events, flows, slot CSV, queue CSV, span
+//!   sketches) consumed by the `tfc-trace` binary.
 //!
 //! The crate is a leaf below the simulator: node/flow/time fields are
 //! plain integers, and the simulator, protocols, and experiments all
@@ -25,7 +29,7 @@ pub mod export;
 pub mod json;
 pub mod span;
 
-pub use counters::{LoopStats, PortSlotSample};
+pub use counters::{LoopStats, PortSlotSample, QueueSample};
 pub use event::{EventLog, EventRecord, LogMode, TraceEvent, EVENT_KIND_NAMES};
 pub use export::{FlowSummary, RetiredClass, RetiredFlows, RunManifest, SimMeta};
 pub use span::{SpanTracker, TraceConfig};
@@ -94,6 +98,9 @@ pub struct Telemetry {
     pub loop_stats: LoopStats,
     /// TFC per-port slot gauges, in slot-close order.
     pub slots: Vec<PortSlotSample>,
+    /// Periodic queue-occupancy samples, in sample order. Empty unless
+    /// a sampler was registered.
+    pub queues: Vec<QueueSample>,
     /// Packet-lifecycle spans aggregated into streaming sketches.
     pub spans: SpanTracker,
     gauges: bool,
@@ -110,15 +117,10 @@ impl Telemetry {
             log: EventLog::new(cfg.events, cfg.sample_one_in, seed ^ 0x7e1e_6e72_7261_ce00),
             loop_stats: LoopStats::new(loop_names, cfg.profile),
             slots: Vec::new(),
+            queues: Vec::new(),
             spans: SpanTracker::new(cfg.trace),
             gauges: cfg.tfc_gauges,
         }
-    }
-
-    /// Whether TFC slot gauges are being collected.
-    #[inline]
-    pub fn gauges_enabled(&self) -> bool {
-        self.gauges
     }
 
     /// Stores a slot sample if gauge collection is on.
@@ -156,7 +158,6 @@ mod tests {
     fn default_config_is_all_off() {
         let t = Telemetry::new(&TelemetryConfig::default(), 1, &NAMES);
         assert!(!t.log.enabled());
-        assert!(!t.gauges_enabled());
         assert!(!t.loop_stats.profiled());
         assert!(!t.spans.enabled());
     }

@@ -54,7 +54,23 @@ cargo test -q -p tfc-telemetry --lib export
 TRACE_DIR="$(mktemp -d)"
 trap 'rm -rf "$TRACE_DIR"' EXIT
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- --smoke
-TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- "$TRACE_DIR/smoke-incast" >/dev/null
+TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-trace -- "$TRACE_DIR/smoke-incast" | tee "$TRACE_DIR/smoke.out" >/dev/null
+# The smoke incast samples its bottleneck queue: the summary reports
+# that port's mean and max occupancy from queues.csv alone.
+grep -E "^  node [0-9]+ port [0-9]+: [0-9]+ samples  mean [0-9]+ B  max [0-9]+ B$" "$TRACE_DIR/smoke.out" >/dev/null
+
+# Figure gate: regenerating every committed figure dump must reproduce
+# results/*.json byte for byte (Fig. 6's rtt_b CDF and Fig. 7's Ne
+# series come from the TFC slot gauges, every queue mean from the
+# sampled queue series).
+FIG_DIR="$TRACE_DIR/figures"
+for fig in all ablations sweeps reroute; do
+  TFC_RESULTS_DIR="$FIG_DIR" cargo run --release -q -p tfc-bench --bin figures -- "$fig" >/dev/null
+done
+for want in results/*.json; do
+  cmp "$want" "$FIG_DIR/$(basename "$want")" \
+    || { echo "verify: $want does not reproduce" >&2; exit 1; }
+done
 
 # Chaos smoke: fixed-seed link-flap + host-stall runs export fault
 # telemetry, and tfc-trace renders the recovery summary (fault windows,

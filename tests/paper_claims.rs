@@ -84,18 +84,14 @@ fn single_flow_steady_state_queue_is_packets() {
     let nf2 = switches[2];
     let port = sim.core().route_of(nf2, hosts[5]).unwrap();
     sim.core_mut()
-        .add_queue_sampler(simnet::trace::QueueSampler {
-            node: nf2,
-            port,
-            every: Dur::millis(1),
-            key: "q".into(),
-            until: None,
-        });
+        .sample_queue(nf2, port, Dur::millis(1))
+        .expect("route port exists");
     sim.run();
-    let q = sim.core().trace().get("q").expect("sampled");
+    let q = experiments::util::queue_points(sim.core(), nf2, port);
     let late: Vec<f64> = q
-        .window(Dur::millis(40).as_nanos(), u64::MAX)
-        .map(|(_, v)| v)
+        .iter()
+        .filter(|&&(t, _)| t >= Dur::millis(40).as_nanos())
+        .map(|&(_, v)| v)
         .collect();
     let mean = late.iter().sum::<f64>() / late.len().max(1) as f64;
     assert!(mean < 4_500.0, "steady queue {mean:.0} bytes (~3 packets)");

@@ -6,7 +6,8 @@
 //! flow retirement, and an ECMP fat-tree with link churn (multipath
 //! spray plus selection-time reroute) — run once per backend,
 //! exporting the full artifact bundle (manifest, counters, events,
-//! flows, TFC slot gauges, lifecycle-span sketches). Every exported
+//! flows, TFC slot gauges, lifecycle-span sketches, and the queue series
+//! of one sampled port per scenario). Every exported
 //! file except the manifest must be byte-identical across backends:
 //! the wheel is a pure data-structure substitution that pops in the
 //! same `(time, seq)` order. The manifest is the one artifact that
@@ -33,7 +34,8 @@ use experiments::artifacts::maybe_export;
 use simnet::app::NullApp;
 use simnet::endpoint::FlowSpec;
 use simnet::retire::RetireConfig;
-use simnet::sim::{SimConfig, Simulator};
+use simnet::packet::NodeId;
+use simnet::sim::{SimConfig, SimCore, Simulator};
 use simnet::topology::{fat_tree, leaf_spine, star};
 use simnet::units::{Bandwidth, Dur, Time};
 use simnet::SchedulerKind;
@@ -78,7 +80,7 @@ fn telemetry(run: &str) -> TelemetryConfig {
 
 /// Figure-style incast: 12 senders into one receiver through a star.
 fn run_incast(v: Variant) {
-    let (t, hosts, _hub) = star(13, Bandwidth::gbps(1), Dur::micros(5));
+    let (t, hosts, hub) = star(13, Bandwidth::gbps(1), Dur::micros(5));
     let receiver = hosts[0];
     let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
     let mut sim = Simulator::new(
@@ -97,6 +99,8 @@ fn run_incast(v: Variant) {
         sim.core_mut()
             .start_flow(FlowSpec::sized(src, receiver, 64_000 + 1_000 * i as u64));
     }
+    let port = sim.core().route_of(hub, receiver).expect("hub downlink");
+    sample(sim.core_mut(), hub, port);
     sim.run();
     maybe_export(sim.core(), "star(13)", "sched-equivalence incast");
 }
@@ -137,6 +141,7 @@ fn run_chaos(v: Variant) {
         .loss_burst(Time(12_000_000), Dur::millis(1), leaf, 1, 300)
         .policy_reset(Time(20_000_000), leaf, 2)
         .install(sim.core_mut());
+    sample(sim.core_mut(), leaf, 0);
     sim.run();
     maybe_export(sim.core(), "leaf_spine(4x6)", "sched-equivalence chaos");
 }
@@ -146,7 +151,7 @@ fn run_chaos(v: Variant) {
 /// through the retirement quarantine along the way. The retired
 /// sketches and per-class counters ride in the v2 `flows.json`.
 fn run_stream(v: Variant) {
-    let (t, hosts, _switches) = leaf_spine(
+    let (t, hosts, switches) = leaf_spine(
         3,
         4,
         Bandwidth::gbps(10),
@@ -191,6 +196,7 @@ fn run_stream(v: Variant) {
             ..Default::default()
         },
     );
+    sample(sim.core_mut(), switches[0], 0);
     sim.run();
     assert!(
         sim.app().completed() >= 1_500,
@@ -241,8 +247,15 @@ fn run_ecmp(v: Variant) {
         .link_flap(Time(3_000_000), Dur::millis(2), edge0, 0)
         .link_flap(Time(12_000_000), Dur::millis(1), edge0, 1)
         .install(sim.core_mut());
+    sample(sim.core_mut(), edge0, 0);
     sim.run();
     maybe_export(sim.core(), "fat_tree(4)", "sched-equivalence ecmp churn");
+}
+
+/// Samples one port's queue so `queues.csv` joins the byte-compare.
+fn sample(core: &mut SimCore, node: NodeId, port: usize) {
+    core.sample_queue(node, port, Dur::micros(50))
+        .expect("sampled port exists");
 }
 
 fn read(dir: &Path, run: &str, file: &str) -> Vec<u8> {
@@ -250,12 +263,13 @@ fn read(dir: &Path, run: &str, file: &str) -> Vec<u8> {
     std::fs::read(&p).unwrap_or_else(|e| panic!("reading {}: {e}", p.display()))
 }
 
-const ARTIFACTS: [&str; 5] = [
+const ARTIFACTS: [&str; 6] = [
     "counters.json",
     "events.json",
     "flows.json",
     "tfc_slots.csv",
     "spans.json",
+    "queues.csv",
 ];
 
 /// Manifests differ across variants exactly in the backend fields; the

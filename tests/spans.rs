@@ -40,7 +40,7 @@ struct RunOut {
 /// tracker before the simulator is dropped.
 fn run_incast(trace: TraceConfig, run: &str, inspect: impl FnOnce(&SpanTracker)) -> RunOut {
     let before = thread_span_records();
-    let (t, hosts, _hub) = star(9, Bandwidth::gbps(1), Dur::micros(2));
+    let (t, hosts, hub) = star(9, Bandwidth::gbps(1), Dur::micros(2));
     let receiver = hosts[0];
     let net = t.build(TfcSwitchPolicy::factory(TfcSwitchConfig::default()));
     let mut sim = Simulator::new(
@@ -65,6 +65,10 @@ fn run_incast(trace: TraceConfig, run: &str, inspect: impl FnOnce(&SpanTracker))
         sim.core_mut()
             .start_flow(FlowSpec::sized(src, receiver, 48_000 + 1_000 * i as u64));
     }
+    let port = sim.core().route_of(hub, receiver).expect("hub downlink");
+    sim.core_mut()
+        .sample_queue(hub, port, Dur::micros(50))
+        .expect("hub downlink exists");
     sim.run();
     let dir = maybe_export(sim.core(), "star(9)", "span acceptance").expect("export dir");
     let spans = &sim.core().telemetry().spans;
@@ -148,7 +152,13 @@ fn tracing_is_zero_cost_off_passive_on_and_bounded() {
 
     // The simulation must be oblivious to being observed: every
     // non-span artifact is byte-identical whatever the trace mode.
-    for file in ["counters.json", "events.json", "flows.json", "tfc_slots.csv"] {
+    for file in [
+        "counters.json",
+        "events.json",
+        "flows.json",
+        "tfc_slots.csv",
+        "queues.csv",
+    ] {
         let want = std::fs::read(off.dir.join(file)).unwrap();
         assert!(!want.is_empty(), "{file} is empty");
         for (mode, dir) in [("full", &full.dir), ("sampled", &sampled.dir)] {
