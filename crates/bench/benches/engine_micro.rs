@@ -32,32 +32,6 @@ fn event_queue_churn(c: &mut Criterion) {
                 }
             })
         });
-        // Sim-realistic churn: near-term packet events interleaved with
-        // far-future RTO timers that are cancelled before they fire —
-        // the dead mass the wheel parks in its overflow tier.
-        g.bench_function(&format!("churn_with_dead_timers_10k_{kind:?}"), |b| {
-            b.iter(|| {
-                let mut q = EventQueue::with_kind(kind);
-                let mut handles = Vec::with_capacity(10_000);
-                for i in 0..10_000u64 {
-                    let now = i * 800;
-                    q.schedule(Time(now + 1_500), Event::AppTimer { token: i });
-                    handles.push(
-                        q.schedule_cancellable(
-                            Time(now + 200_000_000),
-                            Event::AppTimer { token: i },
-                        ),
-                    );
-                    if i >= 1 {
-                        q.cancel(handles[(i - 1) as usize]);
-                    }
-                    black_box(q.pop());
-                }
-                while let Some(ev) = q.pop() {
-                    black_box(ev);
-                }
-            })
-        });
     }
     g.finish();
 }

@@ -2,7 +2,7 @@
 
 use simnet::fault::FaultAction;
 use simnet::packet::NodeId;
-use simnet::sim::SimCore;
+use simnet::sim::{SimCore, TargetError};
 use simnet::units::{Bandwidth, Dur, Time};
 
 /// An ordered script of faults to apply to one run.
@@ -105,8 +105,20 @@ impl FaultTimeline {
     }
 
     /// Schedules every entry into a simulation (before or during a run).
+    ///
+    /// # Panics
+    ///
+    /// Panics, with nothing scheduled, if an entry names a target the
+    /// network does not have; see [`try_install`](Self::try_install).
     pub fn install(&self, core: &mut SimCore) {
         core.inject_faults(&self.plan);
+    }
+
+    /// Schedules every entry into a simulation, or none of them if any
+    /// entry names a node or port the network does not have, a
+    /// `PolicyReset` names a host, or a host stall names a switch.
+    pub fn try_install(&self, core: &mut SimCore) -> Result<(), TargetError> {
+        core.try_inject_faults(&self.plan)
     }
 
     /// Merges another timeline's entries after this one's.

@@ -62,7 +62,6 @@ pub struct TfcSender {
     dup_acks: u32,
     // Timing.
     est: RttEstimator,
-    timer_gen: u64,
     timer_armed: bool,
     rtt_probe: Option<(u64, Time)>,
 }
@@ -109,7 +108,6 @@ impl TfcSender {
             rm_sent_at: None,
             dup_acks: 0,
             est: RttEstimator::new(cfg.min_rto, cfg.max_rto),
-            timer_gen: 0,
             timer_armed: false,
             rtt_probe: None,
         }
@@ -127,21 +125,18 @@ impl TfcSender {
         }
     }
 
+    /// Sets the RTO, replacing a pending one. The simulator delivers
+    /// only the deadline set last, so the token carries nothing.
     fn arm_timer(&mut self, fx: &mut Effects) {
-        if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
-        }
-        self.timer_gen += 1;
         self.timer_armed = true;
-        fx.timer(self.est.rto(), self.timer_gen);
+        fx.timer(self.est.rto(), 0);
     }
 
     fn disarm_timer(&mut self, fx: &mut Effects) {
         if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
+            fx.stop_timer();
         }
         self.timer_armed = false;
-        self.timer_gen += 1; // invalidate a pending RTO that outran the cancel
     }
 
     fn emit_syn(&mut self, fx: &mut Effects) {
@@ -374,8 +369,8 @@ impl SenderEndpoint for TfcSender {
         self.send_available(now, fx);
     }
 
-    fn on_timer(&mut self, token: u64, now: Time, fx: &mut Effects) {
-        if token != self.timer_gen || !self.timer_armed {
+    fn on_timer(&mut self, _token: u64, now: Time, fx: &mut Effects) {
+        if !self.timer_armed {
             return;
         }
         self.timer_armed = false;
@@ -424,6 +419,7 @@ impl SenderEndpoint for TfcSender {
 mod tests {
     use super::*;
     use simnet::units::Dur;
+    use simnet::endpoint::TimerOp;
 
     const H0: NodeId = NodeId(0);
     const H1: NodeId = NodeId(1);
@@ -586,9 +582,9 @@ mod tests {
         s.open(Time::ZERO, &mut fx);
         let mut fx = Effects::new();
         s.on_packet(&synack(), Time(100), &mut fx);
-        let tok = fx.timers[0].1;
+        assert!(matches!(fx.timer, Some(TimerOp::Set(..))), "probe arms the RTO");
         let mut fx2 = Effects::new();
-        s.on_timer(tok, Time::ZERO + Dur::millis(200), &mut fx2);
+        s.on_timer(0, Time::ZERO + Dur::millis(200), &mut fx2);
         assert!(fx2.notes.contains(&Note::Timeout));
         assert!(fx2.packets[0].flags.contains(Flags::RM));
         assert_eq!(fx2.packets[0].payload, 0);
@@ -635,17 +631,17 @@ mod tests {
         assert_eq!(fx.packets.iter().filter(|p| p.is_data()).count(), 1);
     }
 
+    /// A SYN-ACK with nothing to send stops the handshake RTO rather
+    /// than leaving it to fire.
     #[test]
-    fn stale_timer_ignored() {
-        let mut s = sender(Some(100_000));
+    fn idle_synack_stops_the_rto() {
+        let mut s = sender(None);
         let mut fx = Effects::new();
         s.open(Time::ZERO, &mut fx);
-        let stale = fx.timers[0].1;
+        assert!(matches!(fx.timer, Some(TimerOp::Set(..))));
         let mut fx2 = Effects::new();
         s.on_packet(&synack(), Time(100), &mut fx2);
-        let mut fx3 = Effects::new();
-        s.on_timer(stale, Time(200), &mut fx3);
-        assert!(fx3.notes.is_empty());
+        assert_eq!(fx2.timer, Some(TimerOp::Stop));
     }
 }
 

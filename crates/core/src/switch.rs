@@ -23,18 +23,19 @@ use crate::port::TokenEngine;
 const KIND_MISS: u64 = 0;
 const KIND_RELEASE: u64 = 1;
 
-fn encode_token(kind: u64, port: usize, gen: u64) -> u64 {
-    kind | ((port as u64) << 1) | (gen << 17)
+/// Names one of a port's two timers. Setting a timer again replaces its
+/// pending deadline, so a fired timer is always the latest one set.
+fn encode_token(kind: u64, port: usize) -> u64 {
+    kind | ((port as u64) << 1)
 }
 
-fn decode_token(token: u64) -> (u64, usize, u64) {
-    (token & 1, ((token >> 1) & 0xffff) as usize, token >> 17)
+fn decode_token(token: u64) -> (u64, usize) {
+    (token & 1, (token >> 1) as usize)
 }
 
 struct TfcPort {
     engine: TokenEngine,
     arbiter: DelayArbiter,
-    miss_gen: u64,
     miss_armed_at: Time,
     release_armed: bool,
 }
@@ -59,7 +60,6 @@ impl TfcSwitchPolicy {
                 TfcPort {
                     engine,
                     arbiter,
-                    miss_gen: 0,
                     miss_armed_at: Time::ZERO,
                     release_armed: false,
                 }
@@ -88,16 +88,8 @@ impl TfcSwitchPolicy {
 
     fn arm_miss_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
         let p = &mut self.ports[port];
-        if p.miss_gen > 0 {
-            // Best-effort: a no-op if that generation already fired.
-            fx.cancel_timer(encode_token(KIND_MISS, port, p.miss_gen));
-        }
-        p.miss_gen += 1;
         p.miss_armed_at = now;
-        fx.timer(
-            p.engine.miss_delay(),
-            encode_token(KIND_MISS, port, p.miss_gen),
-        );
+        fx.timer(p.engine.miss_delay(), encode_token(KIND_MISS, port));
     }
 
     fn arm_release_timer(&mut self, port: usize, now: Time, fx: &mut PolicyFx) {
@@ -107,7 +99,7 @@ impl TfcSwitchPolicy {
         }
         if let Some(wait) = p.arbiter.next_release_in(now) {
             p.release_armed = true;
-            fx.timer(wait, encode_token(KIND_RELEASE, port, 0));
+            fx.timer(wait, encode_token(KIND_RELEASE, port));
         }
     }
 
@@ -204,32 +196,18 @@ impl SwitchPolicy for TfcSwitchPolicy {
         let p = &mut self.ports[port];
         p.engine = engine;
         p.arbiter = arbiter;
-        // Cancel (best-effort) and invalidate outstanding timers; the
-        // stale-generation check on the miss timer remains the source of
-        // truth, and a release timer that outruns the cancel fires
-        // harmlessly on the empty rebuilt arbiter.
-        if p.miss_gen > 0 {
-            fx.cancel_timer(encode_token(KIND_MISS, port, p.miss_gen));
-        }
-        p.miss_gen += 1;
+        // Neither timer of the old state may fire into the new one.
+        fx.stop_timer(encode_token(KIND_MISS, port));
+        fx.stop_timer(encode_token(KIND_RELEASE, port));
         p.miss_armed_at = now;
-        if p.release_armed {
-            fx.cancel_timer(encode_token(KIND_RELEASE, port, 0));
-        }
         p.release_armed = false;
     }
 
     fn on_timer(&mut self, token: u64, now: Time, fx: &mut PolicyFx) {
-        let (kind, port, gen) = decode_token(token);
+        let (kind, port) = decode_token(token);
         match kind {
             KIND_MISS => {
-                let armed_at = {
-                    let p = &self.ports[port];
-                    if gen != p.miss_gen {
-                        return; // Stale arm generation.
-                    }
-                    p.miss_armed_at
-                };
+                let armed_at = self.ports[port].miss_armed_at;
                 if let Some(_next) = self.ports[port].engine.on_miss_timer(armed_at, now) {
                     self.arm_miss_timer(port, now, fx);
                 }
@@ -288,12 +266,7 @@ mod tests {
     fn token_roundtrip() {
         for kind in [KIND_MISS, KIND_RELEASE] {
             for port in [0usize, 3, 65_535] {
-                for gen in [0u64, 1, 1 << 30] {
-                    assert_eq!(
-                        decode_token(encode_token(kind, port, gen)),
-                        (kind, port, gen)
-                    );
-                }
+                assert_eq!(decode_token(encode_token(kind, port)), (kind, port));
             }
         }
     }
@@ -319,7 +292,7 @@ mod tests {
         let mut fx = PolicyFx::new();
         p.on_egress(0, &mut rm_data(1), 0, Time(0), &mut fx);
         assert_eq!(fx.timers.len(), 1);
-        let (kind, port, _) = decode_token(fx.timers[0].1);
+        let (kind, port) = decode_token(fx.timers[0].1);
         assert_eq!((kind, port), (KIND_MISS, 0));
     }
 
@@ -333,20 +306,34 @@ mod tests {
         assert_eq!(fx2.timers.len(), 1);
     }
 
+    /// A slot close re-sets the port's one miss timer (the simulator
+    /// replaces its pending deadline) instead of arming a second one.
     #[test]
-    fn stale_miss_timer_ignored() {
+    fn slot_close_resets_the_same_miss_timer() {
         let mut p = policy(1);
         let mut fx = PolicyFx::new();
         p.on_egress(0, &mut rm_data(1), 0, Time(0), &mut fx);
-        let old_token = fx.timers[0].1;
-        // Slot closes, generating a new arm.
         let mut fx2 = PolicyFx::new();
         p.on_egress(0, &mut rm_data(1), 0, Time(100_000), &mut fx2);
-        // The stale timer fires: nothing happens.
-        let mut fx3 = PolicyFx::new();
-        p.on_timer(old_token, Time(200_000), &mut fx3);
-        assert!(fx3.timers.is_empty());
-        assert_eq!(p.engine(0).delimiter(), Some(FlowId(1)));
+        assert_eq!(fx2.timers.len(), 1);
+        assert!(fx2.timers[0].0.is_some());
+        assert_eq!(fx2.timers[0].1, fx.timers[0].1);
+    }
+
+    #[test]
+    fn reset_port_stops_both_timers() {
+        let mut p = policy(2);
+        let mut fx = PolicyFx::new();
+        p.reset_port(1, Bandwidth::gbps(1), Time(5), &mut fx);
+        let stopped: Vec<_> = fx
+            .timers
+            .iter()
+            .map(|&(after, t)| (after, decode_token(t)))
+            .collect();
+        assert_eq!(
+            stopped,
+            vec![(None, (KIND_MISS, 1)), (None, (KIND_RELEASE, 1))]
+        );
     }
 
     #[test]
@@ -381,7 +368,9 @@ mod tests {
             p.on_ingress(0, &mut small, Time(0), &mut fx2),
             IngressVerdict::Consume
         );
-        let (wait, tok) = fx2.timers[0];
+        let (Some(wait), tok) = fx2.timers[0] else {
+            panic!("release timer not set");
+        };
         assert!(wait > Dur::ZERO);
         let mut fx3 = PolicyFx::new();
         p.on_timer(tok, Time(wait.as_nanos()), &mut fx3);

@@ -13,7 +13,7 @@
 //! were allocated under, so a stale id (a use-after-free bug in the
 //! simulator) is *detected* — [`PacketArena::get`] panics — rather than
 //! silently aliasing whatever packet reused the slot. This mirrors the
-//! [`crate::sched::TimerHandle`] slab and the FlowMap generation scheme.
+//! FlowMap generation scheme.
 //!
 //! Determinism: slot indices are assigned LIFO from the free list, so
 //! for a fixed event order the id assignment (and thus everything

@@ -3,7 +3,8 @@
 //! Protocols (TCP NewReno, DCTCP, TFC) are implemented outside this crate
 //! against these traits. Endpoints never touch the simulator directly:
 //! every handler receives an [`Effects`] sink into which it pushes
-//! packets to emit, timers to arm, and notes for the application layer.
+//! packets to emit, a change to its flow's timer, and notes for the
+//! application layer.
 //! The simulator applies the effects after the handler returns, which
 //! keeps borrows simple and the event order deterministic.
 
@@ -15,14 +16,9 @@ use crate::units::{Dur, Time};
 pub struct Effects {
     /// Packets to hand to the host NIC, in order.
     pub packets: Vec<Packet>,
-    /// Timers to arm: fire after `Dur` with the given token.
-    pub timers: Vec<(Dur, u64)>,
-    /// Tokens of previously armed timers to cancel. Best-effort: a
-    /// token with no pending timer is ignored, so endpoints keep their
-    /// stale-generation checks as the source of truth and cancellation
-    /// only spares the scheduler dead entries. Cancels are applied
-    /// before this effect set's own `timers`.
-    pub cancels: Vec<u64>,
+    /// What this callback did to the flow's one timer (its RTO), if
+    /// anything; the last request wins.
+    pub timer: Option<TimerOp>,
     /// Upcalls for the simulator / application layer.
     pub notes: Vec<Note>,
 }
@@ -38,14 +34,15 @@ impl Effects {
         self.packets.push(pkt);
     }
 
-    /// Arms a timer that fires after `after` carrying `token`.
+    /// Sets the flow's timer to fire after `after` carrying `token`,
+    /// replacing its pending deadline.
     pub fn timer(&mut self, after: Dur, token: u64) {
-        self.timers.push((after, token));
+        self.timer = Some(TimerOp::Set(after, token));
     }
 
-    /// Cancels the pending timer carrying `token`, if any.
-    pub fn cancel_timer(&mut self, token: u64) {
-        self.cancels.push(token);
+    /// Stops the flow's pending timer, if any.
+    pub fn stop_timer(&mut self) {
+        self.timer = Some(TimerOp::Stop);
     }
 
     /// Emits an upcall note.
@@ -55,11 +52,18 @@ impl Effects {
 
     /// Whether no effect was produced.
     pub fn is_empty(&self) -> bool {
-        self.packets.is_empty()
-            && self.timers.is_empty()
-            && self.cancels.is_empty()
-            && self.notes.is_empty()
+        self.packets.is_empty() && self.timer.is_none() && self.notes.is_empty()
     }
+}
+
+/// A change to a flow's timer requested through [`Effects`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimerOp {
+    /// Fire after the delay carrying the token, replacing any pending
+    /// deadline.
+    Set(Dur, u64),
+    /// Drop the pending deadline, if any.
+    Stop,
 }
 
 /// Endpoint-to-simulator upcalls.
@@ -197,10 +201,14 @@ mod tests {
         let mut fx = Effects::new();
         assert!(fx.is_empty());
         fx.send(Packet::ack(FlowId(1), NodeId(0), NodeId(1), 5));
-        fx.timer(Dur::micros(10), 7);
+        fx.timer(Dur::micros(5), 6);
         fx.note(Note::Established);
         assert_eq!(fx.packets.len(), 1);
-        assert_eq!(fx.timers, vec![(Dur::micros(10), 7)]);
+        // The last timer request wins.
+        fx.stop_timer();
+        assert_eq!(fx.timer, Some(TimerOp::Stop));
+        fx.timer(Dur::micros(10), 7);
+        assert_eq!(fx.timer, Some(TimerOp::Set(Dur::micros(10), 7)));
         assert_eq!(fx.notes, vec![Note::Established]);
         assert!(!fx.is_empty());
     }

@@ -7,7 +7,7 @@ use crate::arena::PacketId;
 use crate::fault::FaultAction;
 use crate::packet::NodeId;
 
-pub use crate::sched::{EventQueue, SchedulerKind, TimerHandle};
+pub use crate::sched::{EventQueue, SchedulerKind};
 
 /// A scheduled simulation event.
 ///
@@ -33,21 +33,24 @@ pub enum Event {
         /// Port whose transmission completed.
         port: usize,
     },
-    /// A transport-endpoint timer at a host fired.
+    /// A flow's sender timer (its RTO) fired at the sender's host.
     HostTimer {
-        /// The host.
-        node: NodeId,
         /// Flow the timer belongs to.
         flow: crate::packet::FlowId,
         /// Endpoint-defined timer payload.
         token: u64,
+        /// Queue seq of the deadline this entry stands in for; the
+        /// entry dispatches only while it is the flow's deadline.
+        seq: u64,
     },
     /// A switch-policy timer fired (e.g. TFC delay-arbiter wakeup).
     PolicyTimer {
         /// The switch.
         node: NodeId,
-        /// Policy-defined timer payload.
+        /// Policy-defined timer name, handed back to the policy.
         token: u64,
+        /// Queue seq of the deadline this entry stands in for.
+        seq: u64,
     },
     /// An application (workload driver) timer fired.
     AppTimer {

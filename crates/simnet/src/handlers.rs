@@ -44,13 +44,38 @@ impl SimCore {
         }
     }
 
+    /// Whether a popped entry dispatches. Every non-timer entry does; a
+    /// timer entry only when it is its owner's deadline (see
+    /// `sched::Deadline`). An entry that popped before the
+    /// deadline is re-pushed at it; a superseded or stopped one, or one
+    /// of a retired flow or a flow that since reused the id, is dropped.
+    pub(crate) fn timer_due(&mut self, ev: &Event) -> bool {
+        match *ev {
+            Event::HostTimer { flow, seq, .. } => match self.flows.get_mut(flow) {
+                Some(slot) => slot.rto.pop(&mut self.events, seq, |token, seq| {
+                    Event::HostTimer { flow, token, seq }
+                }),
+                None => false,
+            },
+            Event::PolicyTimer { node, token, seq } => {
+                let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
+                    unreachable!("policy timers belong to switches")
+                };
+                sw.deadline(token).pop(&mut self.events, seq, |token, seq| {
+                    Event::PolicyTimer { node, token, seq }
+                })
+            }
+            _ => true,
+        }
+    }
+
     fn dispatch_event(&mut self, ev: Event) {
         match ev {
             Event::NicEnqueue { node, pkt } => self.on_nic_enqueue(node, pkt),
             Event::Arrival { node, port, pkt } => self.on_arrival(node, port, pkt),
             Event::TxDone { node, port } => self.tx_done(node, port),
-            Event::HostTimer { node, flow, token } => self.on_host_timer(node, flow, token),
-            Event::PolicyTimer { node, token } => self.on_policy_timer(node, token),
+            Event::HostTimer { flow, token, .. } => self.on_host_timer(flow, token),
+            Event::PolicyTimer { node, token, .. } => self.on_policy_timer(node, token),
             Event::AppTimer { token } => {
                 self.pending_app.push_back(AppCall::Timer(token));
             }
@@ -104,30 +129,17 @@ impl SimCore {
         }
     }
 
-    /// A transport-endpoint timer fires at a host.
-    fn on_host_timer(&mut self, node: NodeId, flow: FlowId, token: u64) {
-        let Some(slot) = self.flows.get_mut(flow) else {
-            return;
-        };
-        // The timer's cancellation handle is spent the moment it fires.
-        if let Some(i) = slot.timers.iter().position(|&(t, _)| t == token) {
-            slot.timers.swap_remove(i);
-        }
-        if slot.state.spec.src != node {
-            return;
-        }
+    /// A flow's timer fires at its sender's host.
+    fn on_host_timer(&mut self, flow: FlowId, token: u64) {
+        let slot = self.flows.get_mut(flow).expect("a due timer's flow is live");
+        let src = slot.state.spec.src;
         let mut fx = Effects::new();
         slot.sender.on_timer(token, self.now, &mut fx);
-        self.apply_host_fx(node, flow, fx);
+        self.apply_host_fx(src, flow, fx);
     }
 
     /// A switch-policy timer fires.
     fn on_policy_timer(&mut self, node: NodeId, token: u64) {
-        if let Some(pending) = self.policy_timers.get_mut(node.0 as usize) {
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                pending.swap_remove(i);
-            }
-        }
         let now = self.now;
         let mut fx = PolicyFx::new();
         {
@@ -532,20 +544,19 @@ impl SimCore {
     }
 
     pub(crate) fn apply_policy_fx(&mut self, node: NodeId, fx: PolicyFx) {
-        // Cancels first, so a policy that re-arms in the same callback
-        // cancels the stale generation before scheduling the new one.
-        for token in fx.cancels {
-            let pending = &mut self.policy_timers[node.0 as usize];
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                let (_, handle) = pending.swap_remove(i);
-                self.events.cancel(handle);
-            }
-        }
         for (after, token) in fx.timers {
-            let handle = self
-                .events
-                .schedule_cancellable(self.now + after, Event::PolicyTimer { node, token });
-            self.policy_timers[node.0 as usize].push((token, handle));
+            let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
+                unreachable!("policy effects come from a switch")
+            };
+            let deadline = sw.deadline(token);
+            match after {
+                Some(after) => {
+                    deadline.set(&mut self.events, self.now + after, token, |token, seq| {
+                        Event::PolicyTimer { node, token, seq }
+                    })
+                }
+                None => deadline.stop(),
+            }
         }
         for pkt in fx.inject {
             // Policy-owned packets (re)enter the fabric here; a no-route
@@ -596,7 +607,7 @@ impl SimCore {
                 let mut fx = PolicyFx::new();
                 {
                     let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
-                        panic!("PolicyReset target {node:?} is not a switch");
+                        unreachable!("fault targets are checked when scheduled");
                     };
                     let rate = sw.ports[port].link.rate;
                     sw.policy.reset_port(port, rate, now, &mut fx);
@@ -679,7 +690,7 @@ impl SimCore {
 
     fn set_host_stalled(&mut self, node: NodeId, stalled: bool) {
         let Node::Host(h) = &mut self.nodes[node.0 as usize] else {
-            panic!("host-stall target {node:?} is not a host");
+            unreachable!("fault targets are checked when scheduled");
         };
         h.stalled = stalled;
     }

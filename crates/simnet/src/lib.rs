@@ -52,13 +52,15 @@ pub mod units;
 
 pub use app::{Application, FlowEvent, NullApp};
 pub use arena::{PacketArena, PacketId};
-pub use endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
+pub use endpoint::{
+    Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint, TimerOp,
+};
 pub use fault::FaultAction;
 pub use flowtable::FlowMap;
 pub use node::PortStats;
 pub use packet::{Flags, FlowId, NodeId, Packet, HEADER_BYTES, MIN_FRAME, MSS, WINDOW_INIT};
 pub use retire::{FlowRetirer, RetireConfig};
-pub use sched::{SchedulerKind, TimerHandle};
+pub use sched::SchedulerKind;
 pub use sim::{FlowError, FlowState, SimApi, SimConfig, SimCore, Simulator, TargetError};
 pub use topology::{Network, TopologyBuilder};
 pub use units::{Bandwidth, Dur, Time};

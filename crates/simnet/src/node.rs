@@ -3,6 +3,7 @@
 use crate::packet::NodeId;
 use crate::policy::SwitchPolicy;
 use crate::queue::PortQueue;
+use crate::sched::Deadline;
 use crate::units::{Bandwidth, Dur};
 
 /// The attached link of a port: rate, one-way propagation delay, and the
@@ -321,9 +322,24 @@ pub struct Switch {
     pub routes: RouteTable,
     /// Packet-processing policy (drop-tail, ECN, TFC, ...).
     pub policy: Box<dyn SwitchPolicy>,
+    /// One deadline record per policy timer, by the timer's token.
+    pub(crate) deadlines: Vec<(u64, Deadline)>,
 }
 
 impl Switch {
+    /// The deadline record of the policy timer named `token`, created
+    /// on first use.
+    pub(crate) fn deadline(&mut self, token: u64) -> &mut Deadline {
+        let i = match self.deadlines.iter().position(|&(t, _)| t == token) {
+            Some(i) => i,
+            None => {
+                self.deadlines.push((token, Deadline::default()));
+                self.deadlines.len() - 1
+            }
+        };
+        &mut self.deadlines[i].1
+    }
+
     /// Looks up the deterministic primary egress port for a destination
     /// host (lowest equal-cost member). Per-packet forwarding uses the
     /// ECMP hash instead; this is the control-plane view.
@@ -437,6 +453,7 @@ mod tests {
             ports: vec![Port::new(link(1), 1_000), Port::new(link(2), 1_000)],
             routes: RouteTable::from_single(vec![NO_ROUTE, 0, 1]),
             policy: Box::new(DropTail),
+            deadlines: Vec::new(),
         }
     }
 

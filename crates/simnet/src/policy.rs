@@ -10,13 +10,10 @@ use crate::units::{Bandwidth, Dur, Time};
 /// Effects a policy can request from its switch.
 #[derive(Debug, Default)]
 pub struct PolicyFx {
-    /// Timers to arm: fire after `Dur` carrying the token.
-    pub timers: Vec<(Dur, u64)>,
-    /// Tokens of previously armed timers to cancel. Best-effort, like
-    /// [`crate::endpoint::Effects::cancels`]: unknown tokens are
-    /// ignored, stale-generation checks in the policy remain the source
-    /// of truth, and cancels apply before this effect set's `timers`.
-    pub cancels: Vec<u64>,
+    /// Timer changes, applied in order. A token names one timer of the
+    /// switch: `(Some(after), token)` sets it to fire after `after`,
+    /// replacing its pending deadline, and `(None, token)` stops it.
+    pub timers: Vec<(Option<Dur>, u64)>,
     /// Packets to (re)inject into the switch's egress path; each will be
     /// routed and enqueued as if it had just arrived, but without another
     /// ingress-hook pass.
@@ -37,14 +34,15 @@ impl PolicyFx {
         Self::default()
     }
 
-    /// Arms a policy timer.
+    /// Sets the policy timer named `token` to fire after `after`,
+    /// replacing its pending deadline.
     pub fn timer(&mut self, after: Dur, token: u64) {
-        self.timers.push((after, token));
+        self.timers.push((Some(after), token));
     }
 
-    /// Cancels the pending policy timer carrying `token`, if any.
-    pub fn cancel_timer(&mut self, token: u64) {
-        self.cancels.push(token);
+    /// Stops the pending policy timer named `token`, if any.
+    pub fn stop_timer(&mut self, token: u64) {
+        self.timers.push((None, token));
     }
 
     /// Re-injects a packet into the egress path.

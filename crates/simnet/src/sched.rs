@@ -1,14 +1,13 @@
 //! The simulation scheduler: a hierarchical timing wheel behind the
-//! classic `schedule`/`pop` queue API, with cancellable timer handles.
+//! classic `schedule`/`pop` queue API, plus the deadline records that
+//! keep re-armed timers from piling up in it.
 //!
 //! Discrete-event simulation at 10 Gbps / 360-host scale produces dense
 //! timestamp distributions (packet serialisation is sub-microsecond)
 //! plus a long tail of far-future timers (RTOs, chaos faults). A binary
-//! heap pays O(log n) per operation, and n is inflated by every stale
-//! retransmission timer still waiting to expire. The calendar-queue /
-//! timing-wheel family is the textbook fix: O(1) amortized insert and
-//! pop for near-term events, an overflow tier for the far future, and
-//! lazy deletion so rescheduled timers stop churning the structure.
+//! heap pays O(log n) per operation. The calendar-queue / timing-wheel
+//! family is the textbook fix: O(1) amortized insert and pop for
+//! near-term events and an overflow tier for the far future.
 //!
 //! # Layout
 //!
@@ -23,21 +22,24 @@
 //!
 //! # Determinism
 //!
-//! Every entry carries a global insertion sequence number and the wheel
-//! pops in exact `(time, seq)` order: level-0 buckets hold a single
-//! tick and are sorted on drain, ticks are visited in order, and the
-//! cursor cascades coarser buckets *before* draining a same-start
-//! level-0 bucket so co-scheduled entries always merge first. The pop
-//! sequence is therefore identical to the reference heap's — which is
-//! what the byte-identical artifact equivalence tests assert.
+//! Every entry carries a global sequence number and the wheel pops in
+//! exact `(time, seq)` order: level-0 buckets hold a single tick and
+//! are sorted on drain, ticks are visited in order, and the cursor
+//! cascades coarser buckets *before* draining a same-start level-0
+//! bucket so co-scheduled entries always merge first. The pop sequence
+//! is therefore identical to the reference heap's — which is what the
+//! byte-identical artifact equivalence tests assert.
 //!
-//! # Cancellation
+//! # Reserved sequence numbers
 //!
-//! [`EventQueue::schedule_cancellable`] returns a generation-checked
-//! [`TimerHandle`]; [`EventQueue::cancel`] marks the entry dead in a
-//! slab and the queue discards it lazily on pop, for O(1) cancellation
-//! without disturbing bucket order. Both backends share the slab, so a
-//! cancelled timer is invisible under either scheduler.
+//! [`EventQueue::reserve_seq`] hands out the next sequence number
+//! without pushing anything, and [`EventQueue::schedule_reserved`]
+//! pushes an entry under a number reserved earlier. Both backends order
+//! every entry by its `(time, seq)` key alone, so an entry pushed late
+//! under an early seq pops exactly where it would have popped had it
+//! been pushed when the seq was reserved — as long as its key is not
+//! behind the last pop. A `Deadline` record uses this to move a timer
+//! without pushing an entry per move.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -69,37 +71,12 @@ pub enum SchedulerKind {
     RefHeap,
 }
 
-/// A cancellable-timer handle returned by
-/// [`EventQueue::schedule_cancellable`]. Generation-checked: a handle
-/// goes stale once its timer fires or is cancelled, and stale handles
-/// are rejected by [`EventQueue::cancel`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TimerHandle {
-    slot: u32,
-    gen: u32,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SlotState {
-    Free,
-    Armed,
-    Cancelled,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct TimerSlot {
-    gen: u32,
-    state: SlotState,
-}
-
-/// An event with its activation time, tie-breaking sequence number,
-/// and (for cancellable timers) slab handle.
+/// An event with its activation time and tie-breaking sequence number.
 #[derive(Debug, Clone)]
 struct Entry {
     at: Time,
     seq: u64,
     event: Event,
-    handle: Option<TimerHandle>,
 }
 
 impl Entry {
@@ -360,6 +337,13 @@ impl Backend {
             Backend::Heap(h) => h.peek().map(|e| e.0.key()),
         }
     }
+
+    fn len(&self) -> usize {
+        match self {
+            Backend::Wheel(w) => w.len,
+            Backend::Heap(h) => h.len(),
+        }
+    }
 }
 
 /// A deterministic min-queue of timestamped events.
@@ -383,28 +367,25 @@ impl Backend {
 /// matches!(ev, Event::AppTimer { token: 1 });
 /// ```
 ///
-/// Cancellable timers are discarded lazily:
+/// An entry can take a sequence number reserved earlier; it pops where
+/// an entry pushed at the reservation would have:
 ///
 /// ```
 /// use tfc_simnet::event::{Event, EventQueue};
 /// use tfc_simnet::units::Time;
 ///
 /// let mut q = EventQueue::new();
-/// let h = q.schedule_cancellable(Time(10), Event::AppTimer { token: 1 });
-/// q.schedule(Time(20), Event::AppTimer { token: 2 });
-/// assert!(q.cancel(h));
-/// assert!(!q.cancel(h)); // stale handle
-/// let (t, _) = q.pop().unwrap();
-/// assert_eq!(t, Time(20));
+/// let early = q.reserve_seq();
+/// q.schedule(Time(10), Event::AppTimer { token: 2 });
+/// q.schedule_reserved(Time(10), early, Event::AppTimer { token: 1 });
+/// assert!(matches!(q.pop(), Some((Time(10), Event::AppTimer { token: 1 }))));
+/// assert!(matches!(q.pop(), Some((Time(10), Event::AppTimer { token: 2 }))));
 /// ```
 #[derive(Debug)]
 pub struct EventQueue {
     backend: Backend,
     kind: SchedulerKind,
     next_seq: u64,
-    slots: Vec<TimerSlot>,
-    free: Vec<u32>,
-    live: usize,
 }
 
 impl Default for EventQueue {
@@ -429,9 +410,6 @@ impl EventQueue {
             backend,
             kind,
             next_seq: 0,
-            slots: Vec::new(),
-            free: Vec::new(),
-            live: 0,
         }
     }
 
@@ -442,93 +420,122 @@ impl EventQueue {
 
     /// Schedules `event` at absolute time `at`.
     pub fn schedule(&mut self, at: Time, event: Event) {
-        self.push(at, event, None);
+        let seq = self.reserve_seq();
+        self.schedule_reserved(at, seq, event);
     }
 
-    /// Schedules `event` at `at` and returns a handle that can cancel
-    /// it before it fires.
-    pub fn schedule_cancellable(&mut self, at: Time, event: Event) -> TimerHandle {
-        let slot = match self.free.pop() {
-            Some(s) => s,
-            None => {
-                self.slots.push(TimerSlot {
-                    gen: 0,
-                    state: SlotState::Free,
-                });
-                (self.slots.len() - 1) as u32
-            }
-        };
-        let s = &mut self.slots[slot as usize];
-        debug_assert_eq!(s.state, SlotState::Free);
-        s.state = SlotState::Armed;
-        let handle = TimerHandle { slot, gen: s.gen };
-        self.push(at, event, Some(handle));
-        handle
-    }
-
-    /// Cancels a pending cancellable event. Returns `false` for stale
-    /// handles (already fired, or already cancelled). The entry is
-    /// discarded lazily when the queue reaches it.
-    pub fn cancel(&mut self, handle: TimerHandle) -> bool {
-        let Some(s) = self.slots.get_mut(handle.slot as usize) else {
-            return false;
-        };
-        if s.gen != handle.gen || s.state != SlotState::Armed {
-            return false;
-        }
-        s.state = SlotState::Cancelled;
-        self.live -= 1;
-        true
-    }
-
-    fn push(&mut self, at: Time, event: Event, handle: Option<TimerHandle>) {
+    /// Takes the next sequence number without pushing anything. An
+    /// entry pushed later under it with
+    /// [`schedule_reserved`](Self::schedule_reserved) breaks time ties
+    /// as if it had been pushed now.
+    pub fn reserve_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live += 1;
-        self.backend.push(Entry {
-            at,
-            seq,
-            event,
-            handle,
-        });
+        seq
     }
 
-    /// Pops the earliest live event, or `None` when empty. Cancelled
-    /// entries are reaped (their handle slots recycled) transparently.
+    /// Schedules `event` at `at` under a sequence number from
+    /// [`reserve_seq`](Self::reserve_seq). Each number is pushed at most
+    /// once, and `(at, seq)` must not be behind the last pop.
+    pub fn schedule_reserved(&mut self, at: Time, seq: u64, event: Event) {
+        debug_assert!(seq < self.next_seq, "seq {seq} was never reserved");
+        self.backend.push(Entry { at, seq, event });
+    }
+
+    /// Pops the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
-        loop {
-            let e = self.backend.pop()?;
-            if let Some(h) = e.handle {
-                let s = &mut self.slots[h.slot as usize];
-                debug_assert_eq!(s.gen, h.gen);
-                let cancelled = s.state == SlotState::Cancelled;
-                s.state = SlotState::Free;
-                s.gen = s.gen.wrapping_add(1);
-                self.free.push(h.slot);
-                if cancelled {
-                    continue;
-                }
-            }
-            self.live -= 1;
-            return Some((e.at, e.event));
-        }
+        self.backend.pop().map(|e| (e.at, e.event))
     }
 
-    /// Time of the earliest pending entry. Lazy deletion means a
-    /// cancelled-but-unreaped entry may be reported here; `pop` never
-    /// returns it.
+    /// Time of the earliest pending entry.
     pub fn peek_time(&self) -> Option<Time> {
         self.backend.peek_key().map(|(t, _)| t)
     }
 
-    /// Number of live (non-cancelled) pending events.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live
+        self.backend.len()
     }
 
-    /// Whether no live events are pending.
+    /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live == 0
+        self.len() == 0
+    }
+}
+
+/// One timer owner's deadline record: when its timer is due, and which
+/// queue entry, if any, stands in for it.
+///
+/// An owner (a flow's RTO, one switch-policy timer) re-sets its timer
+/// far more often than the timer fires, so a set does not push an entry
+/// per call. [`set`](Self::set) reserves the seq the timer would have
+/// been pushed under, but pushes only when no entry stands in for the
+/// timer yet or the new deadline is earlier than that entry.
+/// [`pop`](Self::pop) settles a popped entry: the deadline itself
+/// fires, an entry popped before the deadline is re-pushed at it under
+/// the reserved seq (so it pops at exactly the key a push at set time
+/// would have had), and a superseded or stopped entry is dropped. Only
+/// moving a deadline earlier leaves an extra entry queued, until it
+/// pops and is dropped. Seqs are globally unique, so matching on them
+/// also tells a record apart from an earlier owner's entries still in
+/// the queue.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct Deadline {
+    /// `(at, seq, token)` of the deadline last set; `None` once it
+    /// fired or was stopped.
+    due: Option<(Time, u64, u64)>,
+    /// `(at, seq)` of the entry that stands in for the deadline.
+    queued: Option<(Time, u64)>,
+}
+
+impl Deadline {
+    /// Sets the deadline to `at`, carrying `token`, replacing any
+    /// pending one. `event` builds the queue entry from `(token, seq)`.
+    pub(crate) fn set(
+        &mut self,
+        q: &mut EventQueue,
+        at: Time,
+        token: u64,
+        event: impl FnOnce(u64, u64) -> Event,
+    ) {
+        let seq = q.reserve_seq();
+        self.due = Some((at, seq, token));
+        if self.queued.is_none_or(|key| (at, seq) < key) {
+            self.queued = Some((at, seq));
+            q.schedule_reserved(at, seq, event(token, seq));
+        }
+    }
+
+    /// Stops the pending deadline, if any; its entry is dropped on pop.
+    pub(crate) fn stop(&mut self) {
+        self.due = None;
+    }
+
+    /// Settles the entry `seq` that just popped: `true` when it is the
+    /// deadline and fires now. An entry that popped early is re-pushed
+    /// at the deadline (built by `event`, as in [`set`](Self::set)).
+    pub(crate) fn pop(
+        &mut self,
+        q: &mut EventQueue,
+        seq: u64,
+        event: impl FnOnce(u64, u64) -> Event,
+    ) -> bool {
+        if self.queued.map(|(_, s)| s) != Some(seq) {
+            return false; // superseded by an earlier push
+        }
+        self.queued = None;
+        match self.due {
+            Some((_, s, _)) if s == seq => {
+                self.due = None;
+                true
+            }
+            Some((at, s, token)) => {
+                self.queued = Some((at, s));
+                q.schedule_reserved(at, s, event(token, s));
+                false
+            }
+            None => false,
+        }
     }
 }
 
@@ -661,32 +668,118 @@ mod tests {
     }
 
     #[test]
-    fn cancel_discards_before_fire() {
+    fn reserved_seq_breaks_ties_at_reservation_order() {
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
-            let h = q.schedule_cancellable(Time(10), Event::AppTimer { token: 1 });
-            q.schedule(Time(20), Event::AppTimer { token: 2 });
+            let early = q.reserve_seq();
+            q.schedule(Time(300), Event::AppTimer { token: 1 });
+            let (t, _) = q.pop().unwrap();
+            assert_eq!(t, Time(300));
+            // Pushed onto the tick being drained, after a later seq.
+            q.schedule(Time(300), Event::AppTimer { token: 3 });
+            q.schedule_reserved(Time(300), early, Event::AppTimer { token: 2 });
             assert_eq!(q.len(), 2);
-            assert!(q.cancel(h));
-            assert_eq!(q.len(), 1, "{kind:?}");
-            let (t, ev) = q.pop().unwrap();
-            assert_eq!((t, token_of(&ev)), (Time(20), 2));
+            let order: Vec<u64> = std::iter::from_fn(|| q.pop())
+                .map(|(_, e)| token_of(&e))
+                .collect();
+            assert_eq!(order, vec![2, 3], "{kind:?}");
+        }
+    }
+
+    fn timer(token: u64, seq: u64) -> Event {
+        Event::AppTimer { token: token << 32 | seq }
+    }
+
+    /// Pops every entry, settling each through `d`, and returns the
+    /// `(time, token)` pairs that fired.
+    fn drain(q: &mut EventQueue, d: &mut Deadline) -> Vec<(Time, u64)> {
+        let mut fired = Vec::new();
+        while let Some((t, ev)) = q.pop() {
+            let word = token_of(&ev);
+            if d.pop(q, word & 0xffff_ffff, timer) {
+                fired.push((t, word >> 32));
+            }
+        }
+        fired
+    }
+
+    #[test]
+    fn deadline_moved_later_fires_once_at_the_last_set() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let mut d = Deadline::default();
+            for (i, at) in [100u64, 400, 900].into_iter().enumerate() {
+                d.set(&mut q, Time(at), i as u64, timer);
+            }
+            assert_eq!(q.len(), 1, "one entry stands in for the timer");
+            assert_eq!(drain(&mut q, &mut d), vec![(Time(900), 2)], "{kind:?}");
             assert!(q.is_empty());
         }
     }
 
     #[test]
-    fn cancel_is_stale_after_fire_and_after_cancel() {
+    fn deadline_moved_earlier_fires_early_and_drops_the_old_entry() {
         for kind in KINDS {
             let mut q = EventQueue::with_kind(kind);
-            let h = q.schedule_cancellable(Time(10), Event::AppTimer { token: 1 });
-            assert!(q.pop().is_some());
-            assert!(!q.cancel(h), "{kind:?}: handle must go stale on fire");
-            let h2 = q.schedule_cancellable(Time(30), Event::AppTimer { token: 3 });
-            assert!(!q.cancel(h), "{kind:?}: recycled slot must reject old gen");
-            assert!(q.cancel(h2));
-            assert!(!q.cancel(h2), "{kind:?}: double cancel");
-            assert!(q.pop().is_none());
+            let mut d = Deadline::default();
+            d.set(&mut q, Time(900), 1, timer);
+            d.set(&mut q, Time(100), 2, timer);
+            assert_eq!(drain(&mut q, &mut d), vec![(Time(100), 2)], "{kind:?}");
+        }
+    }
+
+    /// The entry a moved-earlier deadline left behind is dropped when it
+    /// pops, even while a later deadline is pending: it neither fires
+    /// nor re-pushes a duplicate of the pending one.
+    #[test]
+    fn deadline_left_behind_entry_does_not_repush() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let mut d = Deadline::default();
+            d.set(&mut q, Time(900), 1, timer);
+            d.set(&mut q, Time(100), 2, timer);
+            let (_, ev) = q.pop().unwrap();
+            assert!(d.pop(&mut q, token_of(&ev) & 0xffff_ffff, timer));
+            d.set(&mut q, Time(2_000), 3, timer);
+            assert_eq!(q.len(), 2, "{kind:?}: the left-behind entry and the new one");
+            let (t, ev) = q.pop().unwrap();
+            assert_eq!(t, Time(900));
+            assert!(!d.pop(&mut q, token_of(&ev) & 0xffff_ffff, timer));
+            assert_eq!(q.len(), 1, "{kind:?}: no duplicate pushed");
+            assert_eq!(drain(&mut q, &mut d), vec![(Time(2_000), 3)]);
+        }
+    }
+
+    #[test]
+    fn deadline_stopped_never_fires() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let mut d = Deadline::default();
+            d.set(&mut q, Time(100), 1, timer);
+            d.set(&mut q, Time(500), 2, timer);
+            d.stop();
+            assert!(drain(&mut q, &mut d).is_empty(), "{kind:?}");
+        }
+    }
+
+    /// A re-pushed deadline keeps the seq reserved at set time: it pops
+    /// before an event pushed later at the same instant, exactly as an
+    /// entry pushed at set time would have.
+    #[test]
+    fn deadline_repush_keeps_the_set_time_tie_order() {
+        for kind in KINDS {
+            let mut q = EventQueue::with_kind(kind);
+            let mut d = Deadline::default();
+            d.set(&mut q, Time(100), 1, timer);
+            d.set(&mut q, Time(700), 2, timer);
+            q.schedule(Time(700), Event::AppTimer { token: u64::MAX });
+            let (t, ev) = q.pop().unwrap();
+            assert_eq!(t, Time(100));
+            assert!(!d.pop(&mut q, token_of(&ev) & 0xffff_ffff, timer));
+            let (t, ev) = q.pop().unwrap();
+            assert_eq!(t, Time(700));
+            assert!(d.pop(&mut q, token_of(&ev) & 0xffff_ffff, timer), "{kind:?}");
+            assert_eq!(q.pop().map(|(_, e)| token_of(&e)), Some(u64::MAX));
         }
     }
 

@@ -19,14 +19,16 @@ use telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 
 use crate::app::{Application, FlowEvent};
 use crate::arena::{PacketArena, PacketId};
-use crate::endpoint::{Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint};
+use crate::endpoint::{
+    Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint, TimerOp,
+};
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
 use crate::flowtable::FlowMap;
 use crate::node::{Node, PortStats};
 use crate::packet::{FlowId, NodeId};
 use crate::retire::{FlowRetirer, RetireConfig};
-use crate::sched::{SchedulerKind, TimerHandle};
+use crate::sched::{Deadline, SchedulerKind};
 use crate::topology::Network;
 use crate::units::{Dur, Time};
 
@@ -143,9 +145,8 @@ pub(crate) struct FlowSlot {
     pub(crate) state: FlowState,
     pub(crate) sender: Box<dyn SenderEndpoint>,
     pub(crate) receiver: Box<dyn ReceiverEndpoint>,
-    /// Pending cancellable host-timer handles, as `(endpoint token,
-    /// handle)` pairs; entries leave on fire/cancel.
-    pub(crate) timers: Vec<(u64, TimerHandle)>,
+    /// The deadline of the flow's one timer (the sender's RTO).
+    pub(crate) rto: Deadline,
 }
 
 /// Why [`SimCore::try_start_flow`] rejected a flow.
@@ -177,6 +178,10 @@ impl std::error::Error for FlowError {}
 pub enum TargetError {
     /// The network has no node with this id.
     UnknownNode(NodeId),
+    /// The request needs a switch and the node is a host.
+    NotASwitch(NodeId),
+    /// The request needs a host and the node is a switch.
+    NotAHost(NodeId),
     /// The node exists but has no port with this index.
     NoSuchPort {
         /// The node.
@@ -192,6 +197,8 @@ impl std::fmt::Display for TargetError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TargetError::UnknownNode(n) => write!(f, "unknown node {}", n.0),
+            TargetError::NotASwitch(n) => write!(f, "node {} is not a switch", n.0),
+            TargetError::NotAHost(n) => write!(f, "node {} is not a host", n.0),
             TargetError::NoSuchPort { node, port, ports } => {
                 write!(f, "node {} has no port {port} (it has {ports})", node.0)
             }
@@ -235,8 +242,6 @@ pub struct SimCore {
     pub(crate) free_ids: VecDeque<(Time, FlowId)>,
     /// The retirement pipeline, when [`SimConfig::retire`] is set.
     pub(crate) retirer: Option<FlowRetirer>,
-    /// Pending cancellable policy-timer handles per node id.
-    pub(crate) policy_timers: Vec<Vec<(u64, TimerHandle)>>,
     pub(crate) rng: StdRng,
     pub(crate) fault_rng: StdRng,
     /// Periodic queue samplers `(node, port, every)`, indexed by
@@ -331,7 +336,7 @@ impl SimCore {
                 },
                 sender,
                 receiver,
-                timers: Vec::new(),
+                rto: Deadline::default(),
             },
         );
         debug_assert!(prev.is_none(), "allocated id {flow:?} was occupied");
@@ -373,16 +378,73 @@ impl SimCore {
     /// Schedules a fault to take effect at simulated time `at` (clamped
     /// to now). Identical seeds with identical fault timelines yield
     /// byte-identical runs; see [`crate::fault`] for the taxonomy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target is invalid; use
+    /// [`try_inject_fault`](Self::try_inject_fault) to handle that as
+    /// an error.
     pub fn inject_fault(&mut self, at: Time, action: FaultAction) {
-        self.events
-            .schedule(at.max(self.now), Event::Fault { action });
+        self.try_inject_fault(at, action)
+            .unwrap_or_else(|e| panic!("invalid fault target: {e}"));
+    }
+
+    /// Schedules a fault, or rejects it with nothing scheduled when the
+    /// network has no such node or port, a `PolicyReset` names a host,
+    /// or a host stall/resume names a switch.
+    pub fn try_inject_fault(&mut self, at: Time, action: FaultAction) -> Result<(), TargetError> {
+        self.try_inject_faults(&[(at, action)])
     }
 
     /// Schedules every `(time, action)` pair of a fault timeline.
+    ///
+    /// # Panics
+    ///
+    /// Panics, with nothing scheduled, if any target is invalid.
     pub fn inject_faults(&mut self, plan: &[(Time, FaultAction)]) {
-        for &(at, action) in plan {
-            self.inject_fault(at, action);
+        self.try_inject_faults(plan)
+            .unwrap_or_else(|e| panic!("invalid fault target: {e}"));
+    }
+
+    /// Schedules every `(time, action)` pair of a fault timeline, or
+    /// none of them if any target is invalid.
+    pub fn try_inject_faults(&mut self, plan: &[(Time, FaultAction)]) -> Result<(), TargetError> {
+        for &(_, action) in plan {
+            self.check_fault_target(action)?;
         }
+        for &(at, action) in plan {
+            self.events
+                .schedule(at.max(self.now), Event::Fault { action });
+        }
+        Ok(())
+    }
+
+    fn check_fault_target(&self, action: FaultAction) -> Result<(), TargetError> {
+        let node = action.node();
+        match (action, self.nodes.get(node.0 as usize)) {
+            (_, None) => Err(TargetError::UnknownNode(node)),
+            (FaultAction::HostStall { .. } | FaultAction::HostResume { .. }, Some(n)) => match n {
+                Node::Host(_) => Ok(()),
+                Node::Switch(_) => Err(TargetError::NotAHost(node)),
+            },
+            (FaultAction::PolicyReset { .. }, Some(Node::Host(_))) => {
+                Err(TargetError::NotASwitch(node))
+            }
+            _ => self.check_port(node, action.port()),
+        }
+    }
+
+    /// Checks that `node` exists and has a port `port`.
+    fn check_port(&self, node: NodeId, port: usize) -> Result<(), TargetError> {
+        let ports = self
+            .nodes
+            .get(node.0 as usize)
+            .ok_or(TargetError::UnknownNode(node))?
+            .port_count();
+        if port >= ports {
+            return Err(TargetError::NoSuchPort { node, port, ports });
+        }
+        Ok(())
     }
 
     /// Arms an application timer firing after `after`.
@@ -442,14 +504,7 @@ impl SimCore {
         port: usize,
         every: Dur,
     ) -> Result<(), TargetError> {
-        let ports = self
-            .nodes
-            .get(node.0 as usize)
-            .ok_or(TargetError::UnknownNode(node))?
-            .port_count();
-        if port >= ports {
-            return Err(TargetError::NoSuchPort { node, port, ports });
-        }
+        self.check_port(node, port)?;
         let idx = self.samplers.len();
         self.samplers.push((node, port, every));
         self.events.schedule(self.now + every, Event::Sample { sampler: idx });
@@ -668,19 +723,18 @@ impl SimCore {
     }
 
     /// Tears down a finished flow: folds its scalars into the retirer's
-    /// per-class sketches, cancels its pending timers, frees its slot
-    /// with both endpoints (bumping the slot generation), and
-    /// quarantines the id. Packets of the dead flow still in flight
-    /// take the existing stale-packet path at the hosts.
+    /// per-class sketches, frees its slot with both endpoints and its
+    /// timer deadline (bumping the slot generation), and quarantines
+    /// the id. Packets of the dead flow still in flight take the
+    /// existing stale-packet path at the hosts; a timer entry of the
+    /// dead flow still queued is dropped when it pops, since no slot
+    /// (nor a later flow reusing the id) holds its seq.
     fn retire_flow(&mut self, flow: FlowId) {
         let Some(slot) = self.flows.remove(flow) else {
             return;
         };
         let retirer = self.retirer.as_mut().expect("retire_flow requires retirer");
         retirer.retire(&slot.state);
-        for (_, handle) in slot.timers {
-            self.events.cancel(handle);
-        }
         self.free_ids.push_back((self.now, flow));
     }
 
@@ -698,25 +752,16 @@ impl SimCore {
             self.events
                 .schedule(self.now + jitter, Event::NicEnqueue { node: host, pkt });
         }
-        // Cancels first: an endpoint that re-arms in the same callback
-        // cancels the old generation before scheduling the new one.
-        let pending = &mut self.flows.get_mut(flow).expect("effects of a live flow").timers;
-        for token in fx.cancels {
-            if let Some(i) = pending.iter().position(|&(t, _)| t == token) {
-                let (_, handle) = pending.swap_remove(i);
-                self.events.cancel(handle);
+        if let Some(op) = fx.timer {
+            let rto = &mut self.flows.get_mut(flow).expect("effects of a live flow").rto;
+            match op {
+                TimerOp::Set(after, token) => {
+                    rto.set(&mut self.events, self.now + after, token, |token, seq| {
+                        Event::HostTimer { flow, token, seq }
+                    });
+                }
+                TimerOp::Stop => rto.stop(),
             }
-        }
-        for (after, token) in fx.timers {
-            let handle = self.events.schedule_cancellable(
-                self.now + after,
-                Event::HostTimer {
-                    node: host,
-                    flow,
-                    token,
-                },
-            );
-            pending.push((token, handle));
         }
         for note in fx.notes {
             self.handle_note(flow, note);
@@ -856,7 +901,6 @@ impl<A: Application> Simulator<A> {
     /// and config.
     pub fn new(net: Network, stack: Box<dyn ProtocolStack>, app: A, cfg: SimConfig) -> Self {
         let telemetry = Telemetry::new(&cfg.telemetry, cfg.seed, &Event::KIND_NAMES);
-        let policy_timers = net.nodes.iter().map(|_| Vec::new()).collect();
         let retirer = cfg.retire.clone().map(FlowRetirer::new);
         Self {
             core: SimCore {
@@ -870,7 +914,6 @@ impl<A: Application> Simulator<A> {
                 next_flow_id: 0,
                 free_ids: VecDeque::new(),
                 retirer,
-                policy_timers,
                 rng: StdRng::seed_from_u64(cfg.seed),
                 fault_rng: StdRng::seed_from_u64(cfg.seed ^ FAULT_RNG_TAG),
                 samplers: Vec::new(),
@@ -897,6 +940,11 @@ impl<A: Application> Simulator<A> {
             let Some((t, ev)) = self.core.events.pop() else {
                 break;
             };
+            // A timer entry that is not its owner's deadline leaves
+            // here, before it can move `now`, end the run or be counted.
+            if !self.core.timer_due(&ev) {
+                continue;
+            }
             if let Some(end) = self.core.cfg.end {
                 if t > end {
                     self.core.now = end;
@@ -1221,6 +1269,86 @@ mod tests {
         core.sample_queue(h1, 0, Dur::micros(5)).unwrap();
     }
 
+    /// Asserts `action` is rejected with `want` and leaves the queue
+    /// exactly as it was.
+    fn assert_fault_rejected(action: FaultAction, want: TargetError) {
+        let (mut sim, _) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
+        let core = sim.core_mut();
+        let pending = core.events.len();
+        assert_eq!(core.try_inject_fault(Time(10), action), Err(want));
+        assert_eq!(core.events.len(), pending, "{action:?}: nothing scheduled");
+    }
+
+    #[test]
+    fn fault_target_unknown_node_is_rejected() {
+        let ghost = NodeId(9);
+        assert_fault_rejected(
+            FaultAction::LinkDown { node: ghost, port: 0 },
+            TargetError::UnknownNode(ghost),
+        );
+        assert_fault_rejected(
+            FaultAction::HostStall { node: ghost },
+            TargetError::UnknownNode(ghost),
+        );
+    }
+
+    #[test]
+    fn fault_target_missing_port_is_rejected() {
+        let (h1, sw) = (NodeId(0), NodeId(2));
+        assert_fault_rejected(
+            FaultAction::LinkRate { node: sw, port: 2, rate: Bandwidth::gbps(1) },
+            TargetError::NoSuchPort { node: sw, port: 2, ports: 2 },
+        );
+        assert_fault_rejected(
+            FaultAction::LossWindow { node: h1, port: 1, permille: 10 },
+            TargetError::NoSuchPort { node: h1, port: 1, ports: 1 },
+        );
+        assert_fault_rejected(
+            FaultAction::PolicyReset { node: sw, port: 5 },
+            TargetError::NoSuchPort { node: sw, port: 5, ports: 2 },
+        );
+    }
+
+    #[test]
+    fn fault_target_policy_reset_of_a_host_is_rejected() {
+        let h1 = NodeId(0);
+        assert_fault_rejected(
+            FaultAction::PolicyReset { node: h1, port: 0 },
+            TargetError::NotASwitch(h1),
+        );
+        assert_eq!(TargetError::NotASwitch(h1).to_string(), "node 0 is not a switch");
+    }
+
+    #[test]
+    fn fault_target_host_stall_of_a_switch_is_rejected() {
+        let sw = NodeId(2);
+        assert_fault_rejected(FaultAction::HostStall { node: sw }, TargetError::NotAHost(sw));
+        assert_fault_rejected(FaultAction::HostResume { node: sw }, TargetError::NotAHost(sw));
+        assert_eq!(TargetError::NotAHost(sw).to_string(), "node 2 is not a host");
+    }
+
+    #[test]
+    fn fault_target_plan_with_one_bad_entry_schedules_nothing() {
+        let (mut sim, _) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
+        let (h1, sw) = (NodeId(0), NodeId(2));
+        let good = (Time(5), FaultAction::LinkDown { node: sw, port: 0 });
+        let bad = (Time(9), FaultAction::HostStall { node: sw });
+        let core = sim.core_mut();
+        let pending = core.events.len();
+        assert_eq!(core.try_inject_faults(&[good, bad]), Err(TargetError::NotAHost(sw)));
+        assert_eq!(core.events.len(), pending, "nothing scheduled");
+        core.inject_faults(&[good, (Time(9), FaultAction::HostStall { node: h1 })]);
+        assert_eq!(core.events.len(), pending + 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid fault target: node 0 is not a switch")]
+    fn fault_target_inject_fault_panics_with_the_typed_message() {
+        let (mut sim, _) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
+        sim.core_mut()
+            .inject_fault(Time(1), FaultAction::PolicyReset { node: NodeId(0), port: 0 });
+    }
+
     #[test]
     fn meter_reports_goodput() {
         let (mut sim, flow) = two_host_sim(Bandwidth::gbps(1), Dur::micros(1));
@@ -1403,7 +1531,7 @@ mod flow_slot_tests {
 
     /// A one-packet request/ack protocol: the sender emits the flow's
     /// bytes as one data packet and arms a retransmit timer; the
-    /// receiver delivers and acks it; the ack cancels the timer and
+    /// receiver delivers and acks it; the ack stops the timer and
     /// finishes the sender. Both log every packet they see.
     struct PingSender {
         flow: FlowId,
@@ -1428,7 +1556,7 @@ mod flow_slot_tests {
         fn on_packet(&mut self, pkt: &Packet, _now: Time, fx: &mut Effects) {
             self.seen.lock().unwrap().push((self.flow, "sender", pkt.seq, pkt.ack));
             if pkt.flags.contains(Flags::ACK) {
-                fx.cancel_timer(RTO);
+                fx.stop_timer();
                 fx.note(Note::SenderDone);
             }
         }
@@ -1661,5 +1789,287 @@ mod flow_slot_tests {
     fn start_flow_panics_on_switch_endpoint() {
         let (mut sim, hosts, _) = ping_sim(1, 2, NullApp, None);
         sim.core_mut().start_flow(FlowSpec::sized(hosts[0], NodeId(2), 1));
+    }
+}
+
+/// Deadline timers end to end: a timer fires once, at the deadline it
+/// was last set to, and a stopped, superseded or retired flow's entry
+/// never dispatches.
+#[cfg(test)]
+mod deadline_tests {
+    use std::sync::{Arc, Mutex};
+
+    use super::*;
+    use crate::node::PortLink;
+    use crate::packet::{Flags, Packet, MSS};
+    use crate::policy::{EgressVerdict, PolicyFx, SwitchPolicy};
+    use crate::topology::TopologyBuilder;
+    use crate::units::Bandwidth;
+
+    /// Timer fires logged by the deadline-test endpoints and policy:
+    /// `(owner, ns, token)`, the owner being a flow id or a port.
+    type Fires = Arc<Mutex<Vec<(u64, u64, u64)>>>;
+
+    /// A sender that is little more than its timer: `push_data(n)` sets
+    /// the timer to fire after `n` µs carrying `n`, `push_data(0)`
+    /// stops it, and every fire is logged. A sized flow sends its bytes
+    /// once at open, sets a 1 ms timer carrying 1, and finishes on the
+    /// ack without touching the timer.
+    struct TimerSender {
+        flow: FlowId,
+        spec: FlowSpec,
+        fires: Fires,
+    }
+
+    impl SenderEndpoint for TimerSender {
+        fn open(&mut self, _now: Time, fx: &mut Effects) {
+            if let Some(bytes) = self.spec.bytes {
+                fx.send(Packet::data(self.flow, self.spec.src, self.spec.dst, 0, bytes));
+                fx.timer(Dur::millis(1), 1);
+            }
+        }
+        fn push_data(&mut self, us: u64, _now: Time, fx: &mut Effects) {
+            match us {
+                0 => fx.stop_timer(),
+                _ => fx.timer(Dur::micros(us), us),
+            }
+        }
+        fn close(&mut self, _now: Time, _fx: &mut Effects) {}
+        fn on_packet(&mut self, pkt: &Packet, _now: Time, fx: &mut Effects) {
+            if pkt.flags.contains(Flags::ACK) {
+                fx.note(Note::SenderDone);
+            }
+        }
+        fn on_timer(&mut self, token: u64, now: Time, _fx: &mut Effects) {
+            self.fires.lock().unwrap().push((self.flow.0, now.nanos(), token));
+        }
+        fn cwnd(&self) -> u64 {
+            MSS
+        }
+        fn acked_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Acks whatever arrives and finishes on the first packet.
+    struct AckReceiver {
+        flow: FlowId,
+        spec: FlowSpec,
+    }
+
+    impl ReceiverEndpoint for AckReceiver {
+        fn on_packet(&mut self, pkt: &Packet, _now: Time, fx: &mut Effects) {
+            fx.note(Note::Delivered { bytes: pkt.payload });
+            fx.note(Note::ReceiverDone);
+            let ack = pkt.seq + pkt.payload;
+            fx.send(Packet::ack(self.flow, self.spec.dst, self.spec.src, ack));
+        }
+        fn delivered_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    struct TimerStack(Fires);
+
+    impl ProtocolStack for TimerStack {
+        fn new_sender(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn SenderEndpoint> {
+            Box::new(TimerSender {
+                flow,
+                spec: spec.clone(),
+                fires: self.0.clone(),
+            })
+        }
+        fn new_receiver(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn ReceiverEndpoint> {
+            Box::new(AckReceiver {
+                flow,
+                spec: spec.clone(),
+            })
+        }
+        fn name(&self) -> &'static str {
+            "timer"
+        }
+    }
+
+    /// Starts each `(at_ns, spec)` flow, and at each `(at_ns, us)`
+    /// command pushes `us` on the flow started last.
+    struct Script {
+        starts: Vec<(u64, FlowSpec)>,
+        cmds: Vec<(u64, u64)>,
+        last: Option<FlowId>,
+    }
+
+    impl Application for Script {
+        fn start(&mut self, api: &mut SimApi<'_>) {
+            let times = self.starts.iter().map(|s| s.0).chain(self.cmds.iter().map(|c| c.0));
+            for (i, at) in times.enumerate() {
+                api.set_timer_at(Time(at), i as u64);
+            }
+        }
+        fn on_timer(&mut self, token: u64, api: &mut SimApi<'_>) {
+            let i = token as usize;
+            match self.starts.get(i) {
+                Some((_, spec)) => self.last = Some(api.start_flow(spec.clone())),
+                None => {
+                    let us = self.cmds[i - self.starts.len()].1;
+                    api.push_data(self.last.expect("a flow was started"), us);
+                }
+            }
+        }
+    }
+
+    /// Two hosts (0 and 1) behind switch 2, driven by a [`Script`].
+    fn deadline_sim(
+        starts: Vec<(u64, FlowSpec)>,
+        cmds: Vec<(u64, u64)>,
+        retire: Option<RetireConfig>,
+        make_policy: impl FnMut(NodeId, &[PortLink]) -> Box<dyn SwitchPolicy>,
+    ) -> (Simulator<Script>, Fires) {
+        let mut t = TopologyBuilder::new();
+        let (h0, h1, s) = (t.host(), t.host(), t.switch());
+        t.link(h0, s, Bandwidth::gbps(1), Dur::micros(1));
+        t.link(h1, s, Bandwidth::gbps(1), Dur::micros(1));
+        let fires = Fires::default();
+        let app = Script {
+            starts,
+            cmds,
+            last: None,
+        };
+        let cfg = SimConfig {
+            retire,
+            ..Default::default()
+        };
+        let stack = Box::new(TimerStack(fires.clone()));
+        (Simulator::new(t.build(make_policy), stack, app, cfg), fires)
+    }
+
+    fn drop_tail(_: NodeId, _: &[PortLink]) -> Box<dyn SwitchPolicy> {
+        Box::new(crate::policy::DropTail)
+    }
+
+    /// Events of `kind` the loop dispatched.
+    fn dispatched<A: Application>(sim: &Simulator<A>, kind: &str) -> u64 {
+        let rows = sim.core().telemetry().loop_stats.rows();
+        rows.filter(|r| r.0 == kind).map(|r| r.1).sum()
+    }
+
+    fn open_flow() -> Vec<(u64, FlowSpec)> {
+        vec![(0, FlowSpec::open_ended(NodeId(0), NodeId(1)))]
+    }
+
+    #[test]
+    fn deadline_fires_once_at_exactly_the_latest_deadline() {
+        // Set to 100 µs, then re-set at 50 µs (due 150 µs) and at
+        // 120 µs (due 320 µs): only the last deadline fires.
+        let cmds = vec![(0, 100), (50_000, 100), (120_000, 200)];
+        let (mut sim, fires) = deadline_sim(open_flow(), cmds, None, drop_tail);
+        sim.run();
+        assert_eq!(*fires.lock().unwrap(), vec![(0, 320_000, 200)]);
+        assert_eq!(sim.core().now(), Time(320_000));
+        assert_eq!(dispatched(&sim, "host_timer"), 1);
+    }
+
+    #[test]
+    fn deadline_moved_earlier_fires_early() {
+        let cmds = vec![(0, 500), (10_000, 20)];
+        let (mut sim, fires) = deadline_sim(open_flow(), cmds, None, drop_tail);
+        sim.run();
+        assert_eq!(*fires.lock().unwrap(), vec![(0, 30_000, 20)]);
+        // The superseded 500 µs entry drains without moving `now`.
+        assert_eq!(sim.core().now(), Time(30_000));
+        assert_eq!(dispatched(&sim, "host_timer"), 1);
+    }
+
+    #[test]
+    fn deadline_stopped_never_dispatches_nor_moves_now_at_drain() {
+        let cmds = vec![(0, 500), (10_000, 0)];
+        let (mut sim, fires) = deadline_sim(open_flow(), cmds, None, drop_tail);
+        sim.run();
+        assert!(fires.lock().unwrap().is_empty());
+        assert_eq!(sim.core().now(), Time(10_000));
+        assert_eq!(dispatched(&sim, "host_timer"), 0);
+        assert_eq!(sim.core().events_processed(), 3, "two app timers and a flow start");
+    }
+
+    /// Flow A sets a 1 ms timer, finishes and retires with it pending;
+    /// B reuses A's id and sets its own timer. A's entry pops at 1 ms
+    /// and must not fire into B.
+    #[test]
+    fn deadline_of_a_retired_flow_never_reaches_a_reused_id() {
+        let starts = vec![
+            (0, FlowSpec::sized(NodeId(0), NodeId(1), 1_000)),
+            (500_000, FlowSpec::open_ended(NodeId(0), NodeId(1))),
+        ];
+        let cmds = vec![(600_000, 700)];
+        let (mut sim, fires) = deadline_sim(starts, cmds, Some(RetireConfig {
+            reuse_after: Dur::ZERO,
+            ..Default::default()
+        }), drop_tail);
+        sim.run();
+        assert_eq!(sim.app().last, Some(FlowId(0)), "B must reuse A's id");
+        assert_eq!(sim.core().retirer().expect("retirement on").total(), 1);
+        assert_eq!(*fires.lock().unwrap(), vec![(0, 1_300_000, 700)]);
+        assert_eq!(dispatched(&sim, "host_timer"), 1);
+    }
+
+    /// Sets two timers per port on the port's first egress packet and
+    /// stops both on `reset_port`; logs every fire as `(port, ns, token)`.
+    struct TwoTimers {
+        fires: Fires,
+        armed: bool,
+    }
+
+    impl SwitchPolicy for TwoTimers {
+        fn on_egress(
+            &mut self,
+            out_port: usize,
+            _pkt: &mut Packet,
+            _queue_bytes: u64,
+            _now: Time,
+            fx: &mut PolicyFx,
+        ) -> EgressVerdict {
+            if !self.armed {
+                self.armed = true;
+                let token = 2 * out_port as u64;
+                fx.timer(Dur::micros(100), token);
+                fx.timer(Dur::micros(200), token + 1);
+            }
+            EgressVerdict::Enqueue
+        }
+        fn on_timer(&mut self, token: u64, now: Time, _fx: &mut PolicyFx) {
+            self.fires.lock().unwrap().push((token / 2, now.nanos(), token));
+        }
+        fn reset_port(&mut self, port: usize, _rate: Bandwidth, _now: Time, fx: &mut PolicyFx) {
+            fx.stop_timer(2 * port as u64);
+            fx.stop_timer(2 * port as u64 + 1);
+        }
+    }
+
+    #[test]
+    fn deadline_policy_reset_stops_both_of_the_ports_timers() {
+        for reset in [false, true] {
+            let policy_fires = Fires::default();
+            let log = policy_fires.clone();
+            let starts = vec![(0, FlowSpec::sized(NodeId(0), NodeId(1), 1_000))];
+            let (mut sim, _) = deadline_sim(starts, Vec::new(), None, move |_, _| {
+                Box::new(TwoTimers {
+                    fires: log.clone(),
+                    armed: false,
+                }) as Box<dyn SwitchPolicy>
+            });
+            if reset {
+                // Port 1 of switch 2 leads to host 1.
+                let action = FaultAction::PolicyReset { node: NodeId(2), port: 1 };
+                sim.core_mut().inject_fault(Time(50_000), action);
+            }
+            sim.run();
+            let fires = policy_fires.lock().unwrap().clone();
+            if reset {
+                assert!(fires.is_empty(), "stopped timers fired: {fires:?}");
+                assert_eq!(dispatched(&sim, "policy_timer"), 0);
+            } else {
+                let tokens: Vec<u64> = fires.iter().map(|f| f.2).collect();
+                assert_eq!(tokens, vec![2, 3], "both timers fire without the reset");
+            }
+        }
     }
 }

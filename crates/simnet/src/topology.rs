@@ -319,6 +319,7 @@ impl TopologyBuilder {
                         ports: ports[i].iter().map(|&l| Port::new(l, switch_buf)).collect(),
                         routes: std::mem::take(&mut routes[i]),
                         policy,
+                        deadlines: Vec::new(),
                     }));
                 }
             }

@@ -92,7 +92,6 @@ pub struct TcpSender {
     dctcp: Option<DctcpState>,
     // Timing.
     est: RttEstimator,
-    timer_gen: u64,
     timer_armed: bool,
     rtt_probe: Option<(u64, Time)>,
 }
@@ -134,7 +133,6 @@ impl TcpSender {
             recover: 0,
             dctcp,
             est: RttEstimator::new(cfg.min_rto, cfg.max_rto),
-            timer_gen: 0,
             timer_armed: false,
             rtt_probe: None,
         }
@@ -144,21 +142,18 @@ impl TcpSender {
         self.snd_nxt - self.snd_una
     }
 
+    /// Sets the RTO, replacing a pending one. The simulator delivers
+    /// only the deadline set last, so the token carries nothing.
     fn arm_timer(&mut self, fx: &mut Effects) {
-        if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
-        }
-        self.timer_gen += 1;
         self.timer_armed = true;
-        fx.timer(self.est.rto(), self.timer_gen);
+        fx.timer(self.est.rto(), 0);
     }
 
     fn disarm_timer(&mut self, fx: &mut Effects) {
         if self.timer_armed {
-            fx.cancel_timer(self.timer_gen);
+            fx.stop_timer();
         }
         self.timer_armed = false;
-        self.timer_gen += 1; // invalidate a pending RTO that outran the cancel
     }
 
     fn emit_data(&mut self, seq: u64, len: u64, now: Time, fx: &mut Effects) {
@@ -387,9 +382,9 @@ impl SenderEndpoint for TcpSender {
         }
     }
 
-    fn on_timer(&mut self, token: u64, now: Time, fx: &mut Effects) {
-        if token != self.timer_gen || !self.timer_armed {
-            return; // Stale timer.
+    fn on_timer(&mut self, _token: u64, now: Time, fx: &mut Effects) {
+        if !self.timer_armed {
+            return;
         }
         self.timer_armed = false;
         if !self.established {
@@ -440,6 +435,7 @@ impl SenderEndpoint for TcpSender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use simnet::endpoint::TimerOp;
 
     const H0: NodeId = NodeId(0);
     const H1: NodeId = NodeId(1);
@@ -523,31 +519,13 @@ mod tests {
     fn rto_collapses_window_and_retransmits() {
         let mut s = sender(1_000_000);
         let fx = establish(&mut s);
-        let rto_token = fx
-            .timers
-            .last()
-            .map(|&(_, tok)| tok)
-            .expect("timer armed after handshake data");
+        assert!(matches!(fx.timer, Some(TimerOp::Set(..))), "timer armed after handshake data");
         let mut fx2 = Effects::new();
-        s.on_timer(rto_token, Time::ZERO + Dur::millis(200), &mut fx2);
+        s.on_timer(0, Time::ZERO + Dur::millis(200), &mut fx2);
         assert!(fx2.notes.contains(&Note::Timeout));
         assert_eq!(s.cwnd(), MSS);
         let rtx = fx2.packets.iter().find(|p| p.is_data()).expect("rtx");
         assert_eq!(rtx.seq, 0);
-    }
-
-    #[test]
-    fn stale_timer_ignored() {
-        let mut s = sender(1_000_000);
-        let fx = establish(&mut s);
-        let stale = fx.timers.last().unwrap().1;
-        // Progress: ACK arrives, rearming with a new generation.
-        let mut fx2 = Effects::new();
-        s.on_packet(&ack(MSS), Time(2_000), &mut fx2);
-        let mut fx3 = Effects::new();
-        s.on_timer(stale, Time(3_000), &mut fx3);
-        assert!(fx3.notes.is_empty());
-        assert!(fx3.packets.is_empty());
     }
 
     #[test]
@@ -566,6 +544,7 @@ mod tests {
         let mut fx2 = Effects::new();
         s.on_packet(&ack(1_001), Time(5_000), &mut fx2);
         assert!(fx2.notes.contains(&Note::SenderDone));
+        assert_eq!(fx2.timer, Some(TimerOp::Stop), "the final ack stops the RTO");
     }
 
     #[test]
@@ -573,9 +552,9 @@ mod tests {
         let mut s = sender(1_000);
         let mut fx = Effects::new();
         s.open(Time::ZERO, &mut fx);
-        let tok = fx.timers[0].1;
+        assert!(matches!(fx.timer, Some(TimerOp::Set(..))));
         let mut fx2 = Effects::new();
-        s.on_timer(tok, Time::ZERO + Dur::millis(200), &mut fx2);
+        s.on_timer(0, Time::ZERO + Dur::millis(200), &mut fx2);
         assert!(fx2.notes.contains(&Note::Timeout));
         assert!(fx2.packets[0].flags.contains(Flags::SYN));
     }

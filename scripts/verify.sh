@@ -37,12 +37,26 @@ cargo test -q -p tfc-repro --test ecmp
 # meshes, alongside the topology builder's typed-error tests.
 cargo test -q -p tfc-simnet --lib topology
 
-# Per-flow slots: every flow's state, endpoints and timer handles live in
+# Per-flow slots: every flow's state, endpoints and RTO deadline live in
 # one slot table sized by flows, not hosts; retired slots empty after a
 # drain; a packet of a retired flow whose id was reused between other
 # hosts takes the stale path; try_start_flow rejects bad endpoints
 # without allocating an id.
 cargo test -q -p tfc-simnet --lib flow
+
+# Deadline timers: a timer fires once, at exactly the deadline it was
+# last set to (earlier if moved earlier); a stopped timer never
+# dispatches nor moves `now` at drain; a retired flow's entry never
+# reaches a flow reusing its id; PolicyReset stops both of a port's
+# timers; a re-pushed deadline keeps the tie order of its set time.
+cargo test -q -p tfc-simnet --lib deadline
+
+# Fault targets are checked when scheduled, not when they fire: an
+# unknown node, a missing port, a PolicyReset of a host or a host stall
+# of a switch is refused with nothing scheduled, and a timeline with one
+# bad entry installs none of its entries.
+cargo test -q -p tfc-simnet --lib fault_target
+cargo test -q -p tfc-repro --test faults fault_target
 
 # Streamed flows.json: the one-record-at-a-time writer must equal the
 # one-document oracle byte for byte (0, 1 and many flows, with and

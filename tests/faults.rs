@@ -7,10 +7,11 @@ use std::fs;
 use experiments::faults::{self, FaultsConfig, Scenario};
 use experiments::Proto;
 use simnet::app::NullApp;
+use chaos::FaultTimeline;
 use simnet::endpoint::FlowSpec;
-use simnet::packet::FlowId;
+use simnet::packet::{FlowId, NodeId};
 use simnet::policy::DropTail;
-use simnet::sim::{SimConfig, Simulator};
+use simnet::sim::{SimConfig, Simulator, TargetError};
 use simnet::topology::star;
 use simnet::units::{Bandwidth, Dur, Time};
 use transport::TcpStack;
@@ -50,6 +51,40 @@ fn identical_chaos_runs_export_byte_identical_artifacts() {
 /// closing a flow that already finished (sender torn down at FIN),
 /// closing it again, or closing one that never existed must all be
 /// silent no-ops.
+/// A timeline naming a target the network does not have is refused
+/// whole when it is installed, not when the bad entry fires: nothing of
+/// it is scheduled, so the run processes no event at all.
+#[test]
+fn fault_target_timeline_with_a_bad_entry_installs_nothing() {
+    let (t, hosts, sw) = star(3, Bandwidth::gbps(1), Dur::micros(1));
+    let net = t.build(|_, _| Box::new(DropTail));
+    let mut sim = Simulator::new(net, Box::new(TcpStack::default()), NullApp, SimConfig::default());
+    let good = FaultTimeline::new().link_flap(Time(1_000), Dur::micros(5), sw, 0);
+    let cases = [
+        (
+            good.clone().policy_reset(Time(2_000), hosts[0], 0),
+            TargetError::NotASwitch(hosts[0]),
+        ),
+        (
+            good.clone().host_stall(Time(2_000), Dur::micros(5), sw),
+            TargetError::NotAHost(sw),
+        ),
+        (
+            good.clone().loss_burst(Time(2_000), Dur::micros(5), sw, 3, 10),
+            TargetError::NoSuchPort { node: sw, port: 3, ports: 3 },
+        ),
+        (
+            good.clone().link_flap(Time(2_000), Dur::micros(5), NodeId(99), 0),
+            TargetError::UnknownNode(NodeId(99)),
+        ),
+    ];
+    for (timeline, want) in cases {
+        assert_eq!(timeline.try_install(sim.core_mut()), Err(want));
+    }
+    sim.run();
+    assert_eq!(sim.core().events_processed(), 0, "a refused timeline scheduled nothing");
+}
+
 #[test]
 fn closing_a_dead_or_unknown_flow_is_a_no_op() {
     let (t, hosts, _) = star(3, Bandwidth::gbps(1), Dur::micros(1));

@@ -220,127 +220,130 @@ fn identical_seeds_identical_outcomes_all_protocols() {
     }
 }
 
-/// Randomized schedule/pop/cancel interleavings against a naive sorted-
-/// vec model, under both scheduler backends. Checks min-time pop order,
+/// Randomized schedule/pop interleavings against a naive sorted-vec
+/// model, under both scheduler backends. Checks min-time pop order,
 /// FIFO tie-breaking at equal timestamps, bucket-boundary offsets,
-/// far-future overflow times, time zero, and cancellation (including
-/// stale handles after fire or double-cancel).
+/// far-future overflow times, time zero, entries pushed late under a
+/// sequence number reserved earlier (the deadline-timer path), and
+/// same-tick storms of pushes onto the tick being drained.
 #[test]
 fn scheduler_matches_sorted_vec_model() {
     use simnet::event::{Event, EventQueue};
-    use simnet::{SchedulerKind, TimerHandle};
+    use simnet::SchedulerKind;
 
-    // (at, seq, token): the model pops the smallest (at, seq).
+    // Drives the queue under test and mirrors every operation in a
+    // naive model: (at, seq, token) entries, popped smallest (at, seq)
+    // first.
     struct Model {
+        q: EventQueue,
         live: Vec<(u64, u64, u64)>,
         next_seq: u64,
+        next_token: u64,
+        /// Key of the last pop; no push may land behind it.
+        last: (u64, u64),
     }
     impl Model {
-        fn push(&mut self, at: u64, token: u64) -> u64 {
-            let seq = self.next_seq;
+        fn reserve(&mut self) -> u64 {
+            let seq = self.q.reserve_seq();
+            assert_eq!(seq, self.next_seq, "seqs diverged");
             self.next_seq += 1;
-            self.live.push((at, seq, token));
             seq
         }
-        fn pop(&mut self) -> Option<(u64, u64)> {
-            let i = (0..self.live.len()).min_by_key(|&i| (self.live[i].0, self.live[i].1))?;
-            let (at, _, token) = self.live.remove(i);
-            Some((at, token))
+        /// A plain schedule at `at`.
+        fn schedule(&mut self, at: u64) {
+            let token = self.next_token;
+            self.next_token += 1;
+            self.q.schedule(Time(at), Event::AppTimer { token });
+            self.live.push((at, self.next_seq, token));
+            self.next_seq += 1;
         }
-        fn cancel(&mut self, seq: u64) -> bool {
-            match self.live.iter().position(|&(_, s, _)| s == seq) {
-                Some(i) => {
-                    self.live.remove(i);
-                    true
-                }
-                None => false,
+        /// A push under `seq`, reserved earlier, at `at` (moved just
+        /// past the last pop if it would land behind it).
+        fn push_reserved(&mut self, at: u64, seq: u64) {
+            let at = if (at, seq) < self.last { self.last.0 + 1 } else { at };
+            let token = self.next_token;
+            self.next_token += 1;
+            self.q.schedule_reserved(Time(at), seq, Event::AppTimer { token });
+            self.live.push((at, seq, token));
+        }
+        fn pop(&mut self, what: &str) {
+            let want = (0..self.live.len())
+                .min_by_key(|&i| (self.live[i].0, self.live[i].1))
+                .map(|i| self.live.remove(i));
+            let got = self.q.pop().map(|(t, e)| match e {
+                Event::AppTimer { token } => (t.nanos(), token),
+                other => panic!("unexpected event {other:?}"),
+            });
+            assert_eq!(got, want.map(|(at, _, token)| (at, token)), "{what}");
+            if let Some((at, seq, _)) = want {
+                self.last = (at, seq);
             }
+            assert_eq!(self.q.len(), self.live.len(), "{what}");
         }
     }
 
     for kind in [SchedulerKind::Wheel, SchedulerKind::RefHeap] {
         cases(48, |case, rng| {
-            let mut q = EventQueue::with_kind(kind);
-            let mut model = Model {
+            let mut m = Model {
+                q: EventQueue::with_kind(kind),
                 live: Vec::new(),
                 next_seq: 0,
+                next_token: 0,
+                last: (0, 0),
             };
-            // Cancellable entries still pending: (model seq, token, handle).
-            let mut handles: Vec<(u64, u64, TimerHandle)> = Vec::new();
-            let mut spent: Vec<TimerHandle> = Vec::new();
-            let mut now = 0u64;
-            let mut token = 0u64;
+            // Seqs reserved but not pushed yet.
+            let mut reserved: Vec<u64> = Vec::new();
             for step in 0..400u32 {
-                match rng.gen_range(0u32..10) {
-                    // Schedule (0-5: plain, 6-7: cancellable).
-                    op @ 0..=7 => {
-                        let off = match rng.gen_range(0u32..8) {
-                            0 => 0, // time zero / exactly now
-                            1 => rng.gen_range(0u64..4),
-                            2 => 255,
-                            3 => 256, // tick granularity boundary
-                            4 => 257,
-                            5 => 16_384, // level boundary
-                            6 => rng.gen_range(0u64..1 << 22),
-                            _ => (1 << 30) + rng.gen_range(0u64..1 << 40), // overflow tier
-                        };
-                        let at = Time(now + off);
-                        let ev = Event::AppTimer { token };
-                        if op < 6 {
-                            model.push(at.nanos(), token);
-                            q.schedule(at, ev);
-                        } else {
-                            let seq = model.push(at.nanos(), token);
-                            handles.push((seq, token, q.schedule_cancellable(at, ev)));
-                        }
-                        token += 1;
+                let what = format!("case {case} step {step} ({kind:?})");
+                let now = m.last.0;
+                let off = match rng.gen_range(0u32..8) {
+                    0 => 0, // time zero / exactly now
+                    1 => rng.gen_range(0u64..4),
+                    2 => 255,
+                    3 => 256, // tick granularity boundary
+                    4 => 257,
+                    5 => 16_384, // level boundary
+                    6 => rng.gen_range(0u64..1 << 22),
+                    _ => (1 << 30) + rng.gen_range(0u64..1 << 40), // overflow tier
+                };
+                match rng.gen_range(0u32..12) {
+                    0..=4 => m.schedule(now + off),
+                    // Reserve a seq now, push under it later.
+                    5..=6 => reserved.push(m.reserve()),
+                    7..=8 if !reserved.is_empty() => {
+                        let seq = reserved.swap_remove(rng.gen_range(0..reserved.len()));
+                        m.push_reserved(now + off, seq);
                     }
-                    // Cancel a random pending cancellable entry.
-                    8 if !handles.is_empty() => {
-                        let i = rng.gen_range(0..handles.len());
-                        let (seq, _, h) = handles.swap_remove(i);
-                        assert!(model.cancel(seq), "model lost a live entry");
-                        assert!(q.cancel(h), "case {case} step {step}: live cancel failed");
-                        spent.push(h);
-                    }
-                    // Cancel a stale handle: must refuse, must not corrupt.
-                    8 => {
-                        if let Some(&h) = spent.last() {
-                            assert!(!q.cancel(h), "case {case} step {step}: stale cancel");
-                        }
-                    }
-                    // Pop.
-                    _ => {
-                        let got = q.pop();
-                        let want = model.pop();
-                        let got_key = got.map(|(t, e)| match e {
-                            Event::AppTimer { token } => (t.nanos(), token),
-                            other => panic!("unexpected event {other:?}"),
-                        });
-                        assert_eq!(got_key, want, "case {case} step {step} ({kind:?})");
-                        if let Some((t, _)) = got_key {
-                            assert!(t >= now, "time went backwards");
-                            now = t;
-                        }
-                        // A popped cancellable entry's handle is spent.
-                        if let Some((_, tok)) = got_key {
-                            if let Some(i) = handles.iter().position(|&(_, t, _)| t == tok) {
-                                spent.push(handles.swap_remove(i).2);
+                    // Same-tick storm: hundreds of pushes onto the tick
+                    // being drained, fresh and reserved seqs mixed, with
+                    // pops in between.
+                    11 if rng.gen_range(0u32..6) == 0 => {
+                        let tick_end = (now | 255) + 1;
+                        for i in 0..rng.gen_range(200u32..400) {
+                            let at = rng.gen_range(m.last.0..tick_end.max(m.last.0 + 1));
+                            match rng.gen_range(0u32..3) {
+                                0 => m.schedule(at),
+                                1 => reserved.push(m.reserve()),
+                                _ if !reserved.is_empty() => {
+                                    let seq =
+                                        reserved.swap_remove(rng.gen_range(0..reserved.len()));
+                                    m.push_reserved(at, seq);
+                                }
+                                _ => m.schedule(at),
+                            }
+                            if i % 5 == 4 {
+                                m.pop(&format!("{what} storm"));
                             }
                         }
                     }
+                    _ => m.pop(&what),
                 }
-                assert_eq!(q.len(), model.live.len(), "case {case} step {step}");
             }
             // Drain: the full residual order must match the model.
-            while let Some(want) = model.pop() {
-                let got = q.pop().map(|(t, e)| match e {
-                    Event::AppTimer { token } => (t.nanos(), token),
-                    other => panic!("unexpected event {other:?}"),
-                });
-                assert_eq!(got, Some(want), "case {case} drain ({kind:?})");
+            while !m.live.is_empty() {
+                m.pop(&format!("case {case} drain ({kind:?})"));
             }
-            assert!(q.pop().is_none());
+            assert!(m.q.pop().is_none());
         });
     }
 }
