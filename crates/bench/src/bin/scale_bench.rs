@@ -24,8 +24,15 @@
 //! wall-clock ratio as `trace_overhead` (1.0 = free; the CI smoke
 //! bounds the leaf-spine value at 1.10).
 //!
+//! A `micro` block times two hot units on their own, each as the
+//! minimum of three passes after a warm-up: event-queue churn
+//! (schedule then pop, on both backends, over uniform times and over a
+//! same-tick storm of pushes onto the tick being drained) and the TFC
+//! token engine's per-packet `on_data` with one RM packet in ten.
+//!
 //! `--quick` shortens every horizon for CI smoke use (`scripts/verify.sh`).
 
+use std::hint::black_box;
 use std::time::Instant;
 
 use chaos::FaultTimeline;
@@ -33,6 +40,8 @@ use rng::seq::SliceRandom;
 use rng::{Rng, SeedableRng};
 use simnet::app::NullApp;
 use simnet::endpoint::FlowSpec;
+use simnet::event::{Event, EventQueue};
+use simnet::packet::{Flags, FlowId, NodeId, Packet, MSS};
 use simnet::sim::{SimConfig, Simulator};
 use simnet::topology::{fat_tree, leaf_spine, star};
 use simnet::units::{Bandwidth, Dur, Time};
@@ -40,6 +49,7 @@ use simnet::SchedulerKind;
 use telemetry::export::{git_describe, results_dir};
 use telemetry::json::{self, Value};
 use telemetry::{TelemetryConfig, TraceConfig};
+use tfc::port::TokenEngine;
 
 /// One scenario, parameterized by the scheduler backend and the
 /// lifecycle-trace mode.
@@ -383,8 +393,100 @@ fn row_json(r: &Row) -> Value {
     })
 }
 
+/// Timed passes per micro row; the row reports the fastest.
+const MICRO_REPS: usize = 3;
+/// Operations per micro pass.
+const MICRO_OPS: u64 = 10_000;
+
+/// Wall time of the fastest of [`MICRO_REPS`] passes of `body`, after
+/// one untimed warm-up pass, in nanoseconds per operation.
+fn min_ns_per_op(ops: u64, mut body: impl FnMut()) -> f64 {
+    body();
+    (0..MICRO_REPS)
+        .map(|_| {
+            let t0 = Instant::now();
+            body();
+            t0.elapsed().as_nanos() as f64 / ops as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Schedules `ops` events at times spread over 5 µs, then pops them all.
+fn churn_uniform(kind: SchedulerKind, ops: u64) {
+    let mut q = EventQueue::with_kind(kind);
+    for i in 0..ops {
+        q.schedule(Time(i * 37 % 5_000), Event::AppTimer { token: i });
+    }
+    while let Some(ev) = q.pop() {
+        black_box(ev);
+    }
+}
+
+/// Pops one event, pushes `ops` more onto the 256 ns tick it was popped
+/// from (the tick being drained), then pops them all: the pattern of a
+/// large fabric whose handlers schedule into the current tick.
+fn churn_same_tick_storm(kind: SchedulerKind, ops: u64) {
+    let tick_start = 1 << 16;
+    let mut q = EventQueue::with_kind(kind);
+    q.schedule(Time(tick_start), Event::AppTimer { token: 0 });
+    black_box(q.pop());
+    for i in 0..ops {
+        q.schedule(
+            Time(tick_start + i * 37 % 256),
+            Event::AppTimer { token: i },
+        );
+    }
+    while let Some(ev) = q.pop() {
+        black_box(ev);
+    }
+}
+
+/// Feeds `ops` data packets 1.2 µs apart through one 10 Gbps TFC token
+/// engine, one RM packet in ten.
+fn token_engine_per_packet(ops: u64) {
+    let mut rm = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, MSS);
+    rm.flags.set(Flags::RM);
+    let plain = Packet::data(FlowId(2), NodeId(0), NodeId(1), 0, MSS);
+    let mut e = TokenEngine::new(Bandwidth::gbps(10), Default::default());
+    for i in 0..ops {
+        let pkt = if i % 10 == 0 { &rm } else { &plain };
+        black_box(e.on_data(pkt, Time(i * 1_200)));
+    }
+}
+
+/// The `micro` rows: the two churn cases per backend, then the token
+/// engine.
+fn micro() -> Value {
+    let churn = |name: &str, body: fn(SchedulerKind, u64)| {
+        let heap = min_ns_per_op(MICRO_OPS, || body(SchedulerKind::RefHeap, MICRO_OPS));
+        let wheel = min_ns_per_op(MICRO_OPS, || body(SchedulerKind::Wheel, MICRO_OPS));
+        eprintln!("micro {name}: heap {heap:.1} ns/op, wheel {wheel:.1} ns/op");
+        telemetry::json!({
+            "name": name,
+            "ops": MICRO_OPS,
+            "heap_ns_per_op": heap,
+            "wheel_ns_per_op": wheel,
+        })
+    };
+    let uniform = churn("event_queue_churn/uniform", churn_uniform);
+    let storm = churn("event_queue_churn/same_tick_storm", churn_same_tick_storm);
+    let engine = min_ns_per_op(MICRO_OPS, || token_engine_per_packet(MICRO_OPS));
+    eprintln!("micro token_engine_per_packet: {engine:.1} ns/op");
+    Value::Array(vec![
+        uniform,
+        storm,
+        telemetry::json!({
+            "name": "token_engine_per_packet",
+            "ops": MICRO_OPS,
+            "rm_one_in": 10u64,
+            "ns_per_op": engine,
+        }),
+    ])
+}
+
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
+    let micro = micro();
     let scenarios = if quick {
         vec![
             leaf_spine_360(5, 300),
@@ -430,13 +532,14 @@ fn main() {
         .map(|n| n.get() as u64)
         .unwrap_or(0);
     let mut doc = telemetry::json!({
-        "schema": "tfc-bench-scale/v7",
+        "schema": "tfc-bench-scale/v8",
         "mode": if quick { "quick" } else { "full" },
         "git": git_describe().as_str(),
         "host": telemetry::json!({
             "available_parallelism": available_parallelism,
             "active_threads": 1u64,
         }),
+        "micro": micro,
         "scenarios": Value::Array(rows.iter().map(row_json).collect()),
         "leaf_spine_speedup": leaf.speedup,
         "trace_overhead": leaf.trace_overhead,
@@ -464,7 +567,7 @@ fn main() {
         .expect("BENCH_scale.json parses");
     assert_eq!(
         parsed.get("schema").and_then(Value::as_str),
-        Some("tfc-bench-scale/v7")
+        Some("tfc-bench-scale/v8")
     );
     let host = parsed.get("host").expect("host block present");
     for key in ["available_parallelism", "active_threads"] {
@@ -497,6 +600,29 @@ fn main() {
         ] {
             let v = s.get(key).and_then(Value::as_f64).expect("rate present");
             assert!(v > 0.0, "{key} must be positive");
+        }
+    }
+    let micro = parsed
+        .get("micro")
+        .and_then(Value::as_array)
+        .expect("micro array");
+    for name in [
+        "event_queue_churn/uniform",
+        "event_queue_churn/same_tick_storm",
+        "token_engine_per_packet",
+    ] {
+        let row = micro
+            .iter()
+            .find(|r| r.get("name").and_then(Value::as_str) == Some(name))
+            .unwrap_or_else(|| panic!("micro row {name} missing"));
+        let keys: &[&str] = if name.starts_with("event_queue_churn") {
+            &["heap_ns_per_op", "wheel_ns_per_op"]
+        } else {
+            &["ns_per_op"]
+        };
+        for key in keys {
+            let v = row.get(key).and_then(Value::as_f64).expect("ns/op present");
+            assert!(v > 0.0, "{name}.{key} must be positive");
         }
     }
     println!("{}", path.display());

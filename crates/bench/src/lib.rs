@@ -5,7 +5,6 @@
 //! formatting and JSON-dumping helpers.
 
 pub mod chart;
-pub mod harness;
 
 // The JSON value/writer/parser (and the `json!` literal macro) live in
 // the telemetry crate so exporters and this harness share one format;

@@ -131,7 +131,6 @@ pub fn run(cfg: &NeConfig) -> NeResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: None,
-            packet_log: 0,
             // Ne is read back from the per-port slot gauges.
             telemetry: TelemetryConfig {
                 tfc_gauges: true,

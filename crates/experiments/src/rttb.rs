@@ -147,7 +147,6 @@ pub fn run(cfg: &RttbConfig) -> RttbResult {
             seed: cfg.seed,
             end: Some(Time(horizon)),
             host_jitter: Some(cfg.jitter),
-            packet_log: 0,
             // rtt_m is read back from the per-port slot gauges.
             telemetry: TelemetryConfig {
                 tfc_gauges: true,

@@ -11,8 +11,8 @@
 //! Packets live in the [`crate::arena::PacketArena`]; events carry ids.
 //! Handlers borrow the slot (disjoint field borrows against the node
 //! table) and free it on every terminal path: delivery to an endpoint,
-//! tail drop, fault loss, or policy consumption. The hot path performs
-//! zero packet clones.
+//! tail drop, fault loss, policy drop, or policy consumption. The hot
+//! path performs zero packet clones.
 
 use rng::rngs::StdRng;
 use rng::Rng;
@@ -22,10 +22,10 @@ use crate::arena::{PacketArena, PacketId};
 use crate::endpoint::Effects;
 use crate::event::{Event, EventQueue};
 use crate::fault::FaultAction;
-use crate::node::{ecmp_select, NextHops, Node};
+use crate::node::{ecmp_select, NextHops, Node, Port};
 use crate::packet::{Flags, FlowId, NodeId};
 use crate::policy::{EgressVerdict, IngressVerdict, PolicyFx};
-use crate::sim::{AppCall, PacketEventKind, SimCore};
+use crate::sim::{AppCall, SimCore};
 use crate::units::Time;
 
 impl SimCore {
@@ -113,16 +113,10 @@ impl SimCore {
     fn on_arrival(&mut self, node: NodeId, port: usize, pkt: PacketId) {
         if !self.nodes[node.0 as usize].port(port).up {
             // The packet propagated into a link that died under it:
-            // lost without trace at the receiving end.
-            self.record_fault_drop(node, port, pkt);
-            if self.telemetry.spans.enabled() {
-                let flow = self.packets.get(pkt).flow.0;
-                self.telemetry.spans.on_drop(pkt.key(), flow);
-            }
-            self.packets.free(pkt);
+            // lost at the receiving end.
+            self.drop_packet(node, port, pkt, |p| &mut p.fault_drops);
             return;
         }
-        self.log_packet(node, PacketEventKind::Arrival, pkt);
         match &self.nodes[node.0 as usize] {
             Node::Switch(_) => self.switch_ingress(node, port, pkt),
             Node::Host(_) => self.host_receive(node, pkt),
@@ -167,14 +161,21 @@ impl SimCore {
         }
     }
 
-    /// Counts (and, with telemetry, records) a packet lost to a fault at
-    /// `node`'s `port`. The caller frees the arena slot.
-    fn record_fault_drop(&mut self, node: NodeId, port: usize, pkt: PacketId) {
+    /// Loses a packet outside the FIFO at `node`'s `port`: bumps the
+    /// port counter `count` picks, records `PktDrop` (with telemetry),
+    /// closes its span as a drop and frees the arena slot.
+    fn drop_packet(
+        &mut self,
+        node: NodeId,
+        port: usize,
+        pkt: PacketId,
+        count: fn(&mut Port) -> &mut u64,
+    ) {
         let (wire, flow, seq) = {
             let p = self.packets.get(pkt);
             (p.wire_bytes(), p.flow.0, p.seq)
         };
-        self.nodes[node.0 as usize].port_mut(port).fault_drops += 1;
+        *count(self.nodes[node.0 as usize].port_mut(port)) += 1;
         if self.telemetry.log.enabled() {
             self.telemetry.log.record(
                 self.now.nanos(),
@@ -187,6 +188,8 @@ impl SimCore {
                 },
             );
         }
+        self.telemetry.spans.on_drop(pkt.key(), flow);
+        self.packets.free(pkt);
     }
 
     /// Enqueues `pkt` on `node`'s `port`, starting the transmitter if it
@@ -427,27 +430,7 @@ impl SimCore {
             }
         };
         let Some(out) = out else {
-            let (wire, seq) = {
-                let p = self.packets.get(pkt);
-                (p.wire_bytes(), p.seq)
-            };
-            self.nodes[node.0 as usize].port_mut(in_port).no_route_drops += 1;
-            if self.telemetry.log.enabled() {
-                self.telemetry.log.record(
-                    now.nanos(),
-                    TraceEvent::PktDrop {
-                        node: node.0,
-                        port: in_port as u16,
-                        flow,
-                        seq,
-                        bytes: wire,
-                    },
-                );
-            }
-            if self.telemetry.spans.enabled() {
-                self.telemetry.spans.on_drop(pkt.key(), flow);
-            }
-            self.packets.free(pkt);
+            self.drop_packet(node, in_port, pkt, |p| &mut p.no_route_drops);
             return;
         };
         // One more switch hop behind it: the next tier hashes with the
@@ -455,23 +438,15 @@ impl SimCore {
         // tier instead of following one diagonal through the fabric.
         self.packets.get_mut(pkt).hop = hop.wrapping_add(1);
         let mut fx = PolicyFx::new();
-        let enqueue = {
+        let enqueue = !run_hook || {
             let Node::Switch(sw) = &mut self.nodes[node.0 as usize] else {
                 unreachable!()
             };
-            let verdict = if run_hook {
-                let qbytes = sw.ports[out].queue.bytes();
-                sw.policy
-                    .on_egress(out, self.packets.get_mut(pkt), qbytes, now, &mut fx)
-            } else {
-                EgressVerdict::Enqueue
-            };
-            match verdict {
-                EgressVerdict::Enqueue => Some(out),
-                EgressVerdict::Drop => None,
-            }
+            let qbytes = sw.ports[out].queue.bytes();
+            let p = self.packets.get_mut(pkt);
+            sw.policy.on_egress(out, p, qbytes, now, &mut fx) == EgressVerdict::Enqueue
         };
-        if let Some(out) = enqueue {
+        if enqueue {
             // The egress hook may have marked the packet; capture what
             // the telemetry events need from a borrow of the arena slot.
             let marks = self.telemetry.log.enabled().then(|| {
@@ -527,18 +502,13 @@ impl SimCore {
                     }
                 }
             } else {
-                // Rejected at the FIFO (overflow or fault loss): log
-                // the drop from the arena borrow, then recycle the slot.
-                self.log_packet(node, PacketEventKind::Drop, pkt);
+                // Rejected at the FIFO (overflow or fault loss), already
+                // counted and logged there.
                 self.packets.free(pkt);
             }
         } else {
-            // Policy-initiated drop: silent, as the pre-arena core was.
-            if self.telemetry.spans.enabled() {
-                let flow = self.packets.get(pkt).flow.0;
-                self.telemetry.spans.on_drop(pkt.key(), flow);
-            }
-            self.packets.free(pkt);
+            // Policy-initiated drop, counted at the egress port.
+            self.drop_packet(node, out, pkt, |p| &mut p.policy_drops);
         }
         self.apply_policy_fx(node, fx);
     }

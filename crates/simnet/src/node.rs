@@ -45,6 +45,8 @@ pub struct Port {
     /// their destination at this switch (counted drop, not a panic;
     /// reachable via route-table surgery or sparse dynamic topologies).
     pub no_route_drops: u64,
+    /// Packets the switch policy's egress hook dropped at this port.
+    pub policy_drops: u64,
 }
 
 impl Port {
@@ -59,6 +61,7 @@ impl Port {
             loss_permille: 0,
             fault_drops: 0,
             no_route_drops: 0,
+            policy_drops: 0,
         }
     }
 
@@ -71,6 +74,7 @@ impl Port {
             tx_bytes: self.tx_bytes,
             fault_drops: self.fault_drops,
             no_route_drops: self.no_route_drops,
+            policy_drops: self.policy_drops,
         }
     }
 }
@@ -93,6 +97,8 @@ pub struct PortStats {
     /// Packets dropped because the switch had no route toward their
     /// destination, attributed to the ingress port.
     pub no_route_drops: u64,
+    /// Packets the switch policy's egress hook dropped at this port.
+    pub policy_drops: u64,
 }
 
 /// Sentinel in a [`RouteTable`] entry row: no egress port toward that

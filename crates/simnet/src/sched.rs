@@ -289,25 +289,6 @@ impl Wheel {
             self.cascade_buf = tmp;
         }
     }
-
-    fn peek_key(&self) -> Option<(Time, u64)> {
-        let mut best = self.current.last().map(Entry::key);
-        for level in 0..LEVELS {
-            if let Some((slot, _)) = self.candidate(level) {
-                for e in &self.buckets[level * SLOTS + slot] {
-                    if best.map_or(true, |b| e.key() < b) {
-                        best = Some(e.key());
-                    }
-                }
-            }
-        }
-        if let Some(h) = self.overflow.peek() {
-            if best.map_or(true, |b| h.0.key() < b) {
-                best = Some(h.0.key());
-            }
-        }
-        best
-    }
 }
 
 #[derive(Debug)]
@@ -328,13 +309,6 @@ impl Backend {
         match self {
             Backend::Wheel(w) => w.pop(),
             Backend::Heap(h) => h.pop().map(|e| e.0),
-        }
-    }
-
-    fn peek_key(&self) -> Option<(Time, u64)> {
-        match self {
-            Backend::Wheel(w) => w.peek_key(),
-            Backend::Heap(h) => h.peek().map(|e| e.0.key()),
         }
     }
 
@@ -445,11 +419,6 @@ impl EventQueue {
     /// Pops the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(Time, Event)> {
         self.backend.pop().map(|e| (e.at, e.event))
-    }
-
-    /// Time of the earliest pending entry.
-    pub fn peek_time(&self) -> Option<Time> {
-        self.backend.peek_key().map(|(t, _)| t)
     }
 
     /// Number of pending events.
@@ -579,19 +548,6 @@ mod tests {
                 .map(|(_, e)| token_of(&e))
                 .collect();
             assert_eq!(order, (0..100).collect::<Vec<_>>(), "{kind:?}");
-        }
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        for kind in KINDS {
-            let mut q = EventQueue::with_kind(kind);
-            assert_eq!(q.peek_time(), None);
-            q.schedule(Time(7), Event::AppTimer { token: 0 });
-            assert_eq!(q.peek_time(), Some(Time(7)), "{kind:?}");
-            assert_eq!(q.len(), 1);
-            q.pop();
-            assert!(q.is_empty());
         }
     }
 

@@ -12,13 +12,13 @@
 
 use std::collections::VecDeque;
 
-use metrics::{FctCollector, FlowRecord, RateMeter};
+use metrics::RateMeter;
 use rng::rngs::StdRng;
 use rng::{Rng, SeedableRng};
 use telemetry::{Telemetry, TelemetryConfig, TraceEvent};
 
 use crate::app::{Application, FlowEvent};
-use crate::arena::{PacketArena, PacketId};
+use crate::arena::PacketArena;
 use crate::endpoint::{
     Effects, FlowSpec, Note, ProtocolStack, ReceiverEndpoint, SenderEndpoint, TimerOp,
 };
@@ -48,10 +48,6 @@ pub struct SimConfig {
     /// applied between an endpoint emitting a packet and the NIC queue.
     /// Models the testbed's random end-host processing (§6.1.2, Fig. 6).
     pub host_jitter: Option<(Dur, Dur)>,
-    /// Capacity of the packet-event log (0 = disabled). When enabled,
-    /// the last N arrival/drop events are kept for post-run debugging
-    /// via [`SimCore::packet_log`].
-    pub packet_log: usize,
     /// Structured telemetry: typed event log, event-loop counters, TFC
     /// slot gauges (all off by default; see [`SimCore::telemetry`]).
     pub telemetry: TelemetryConfig,
@@ -72,38 +68,11 @@ impl Default for SimConfig {
             seed: 1,
             end: None,
             host_jitter: None,
-            packet_log: 0,
             telemetry: TelemetryConfig::default(),
             scheduler: SchedulerKind::default(),
             retire: None,
         }
     }
-}
-
-/// What happened to a packet (see [`SimConfig::packet_log`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PacketEventKind {
-    /// Arrived at a node (hosts and switches).
-    Arrival,
-    /// Tail-dropped at a switch egress FIFO.
-    Drop,
-}
-
-/// One entry of the packet-event log.
-#[derive(Debug, Clone, Copy)]
-pub struct PacketLogEntry {
-    /// When it happened.
-    pub at: Time,
-    /// Where it happened.
-    pub node: NodeId,
-    /// What happened.
-    pub kind: PacketEventKind,
-    /// The flow involved.
-    pub flow: FlowId,
-    /// Sequence number of the packet (data) or 0.
-    pub seq: u64,
-    /// Payload length.
-    pub payload: u64,
 }
 
 /// Book-keeping for one flow.
@@ -250,8 +219,6 @@ pub struct SimCore {
     pub(crate) pending_app: VecDeque<AppCall>,
     pub(crate) cfg: SimConfig,
     pub(crate) stopped: bool,
-    pub(crate) fct: FctCollector,
-    pub(crate) packet_log: VecDeque<PacketLogEntry>,
     pub(crate) telemetry: Telemetry,
     /// Every in-flight packet, slab-allocated; events carry ids into it.
     pub(crate) packets: PacketArena,
@@ -553,13 +520,6 @@ impl SimCore {
         &self.cfg
     }
 
-    /// Completed-flow records. Empty when flow retirement is on — the
-    /// per-class sketches in [`SimCore::retirer`] replace the unbounded
-    /// record vector.
-    pub fn fct(&self) -> &FctCollector {
-        &self.fct
-    }
-
     /// The flow-retirement pipeline, when enabled.
     pub fn retirer(&self) -> Option<&FlowRetirer> {
         self.retirer.as_ref()
@@ -664,31 +624,6 @@ impl SimCore {
     /// Number of events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.telemetry.loop_stats.total()
-    }
-
-    /// The packet-event log (empty unless [`SimConfig::packet_log`] set).
-    pub fn packet_log(&self) -> &VecDeque<PacketLogEntry> {
-        &self.packet_log
-    }
-
-    /// Appends to the packet-event log from a borrow of the arena slot —
-    /// the log copies three scalar fields, never the packet.
-    pub(crate) fn log_packet(&mut self, node: NodeId, kind: PacketEventKind, id: PacketId) {
-        if self.cfg.packet_log == 0 {
-            return;
-        }
-        if self.packet_log.len() == self.cfg.packet_log {
-            self.packet_log.pop_front();
-        }
-        let pkt = self.packets.get(id);
-        self.packet_log.push_back(PacketLogEntry {
-            at: self.now,
-            node,
-            kind,
-            flow: pkt.flow,
-            seq: pkt.seq,
-            payload: pkt.payload,
-        });
     }
 
     /// The in-flight packet arena (diagnostics: live slots, high-water).
@@ -811,16 +746,6 @@ impl SimCore {
             Note::ReceiverDone => {
                 if state.receiver_done_at.is_none() {
                     state.receiver_done_at = Some(now);
-                    // Streaming runs keep FCTs in the retirer's bounded
-                    // sketches instead of this unbounded record vector.
-                    if self.retirer.is_none() {
-                        let bytes = state.spec.bytes.unwrap_or(state.delivered);
-                        self.fct.record(FlowRecord {
-                            bytes,
-                            start_ns: state.started_at.nanos(),
-                            end_ns: now.nanos(),
-                        });
-                    }
                     self.pending_app
                         .push_back(AppCall::Flow(FlowEvent::Completed(flow)));
                 }
@@ -920,8 +845,6 @@ impl<A: Application> Simulator<A> {
                 pending_app: VecDeque::new(),
                 cfg,
                 stopped: false,
-                fct: FctCollector::new(),
-                packet_log: VecDeque::new(),
                 telemetry,
                 packets: PacketArena::new(),
             },
@@ -1128,7 +1051,7 @@ mod tests {
         }
     }
 
-    pub(super) struct BlastStack;
+    struct BlastStack;
 
     impl ProtocolStack for BlastStack {
         fn new_sender(&self, flow: FlowId, spec: &FlowSpec) -> Box<dyn SenderEndpoint> {
@@ -1419,97 +1342,6 @@ mod tests {
         sim.run();
         // The stale packet's slot was still recycled.
         assert!(sim.core().packet_arena().is_empty());
-    }
-}
-
-#[cfg(test)]
-mod packet_log_tests {
-    use super::tests::BlastStack;
-    use super::*;
-    use crate::app::NullApp;
-    use crate::packet::MSS;
-    use crate::topology::TopologyBuilder;
-    use crate::units::Bandwidth;
-
-    fn lossy_sim(log: usize) -> (Simulator<NullApp>, FlowId) {
-        let mut t = TopologyBuilder::new();
-        let h1 = t.host();
-        let h2 = t.host();
-        let s = t.switch();
-        t.link(h1, s, Bandwidth::gbps(10), Dur::micros(1));
-        t.link(h2, s, Bandwidth::gbps(1), Dur::micros(1));
-        t.switch_buffer(2_000);
-        let net = t.build_drop_tail();
-        let mut sim = Simulator::new(
-            net,
-            Box::new(BlastStack),
-            NullApp,
-            SimConfig {
-                packet_log: log,
-                ..Default::default()
-            },
-        );
-        let flow = sim.core_mut().start_flow(FlowSpec::open_ended(h1, h2));
-        (sim, flow)
-    }
-
-    #[test]
-    fn disabled_log_stays_empty() {
-        let (mut sim, flow) = lossy_sim(0);
-        sim.core_mut().push_data(flow, MSS);
-        sim.run();
-        assert!(sim.core().packet_log().is_empty());
-    }
-
-    #[test]
-    fn log_records_arrivals_and_drops() {
-        let (mut sim, flow) = lossy_sim(1024);
-        for _ in 0..8 {
-            sim.core_mut().push_data(flow, MSS);
-        }
-        sim.run();
-        let log = sim.core().packet_log();
-        assert!(log
-            .iter()
-            .any(|e| e.kind == PacketEventKind::Arrival && e.flow == flow));
-        assert!(
-            log.iter().any(|e| e.kind == PacketEventKind::Drop),
-            "burst into a 2 kB buffer must log drops"
-        );
-        // Entries are time-ordered.
-        for w in log.iter().zip(log.iter().skip(1)) {
-            assert!(w.0.at <= w.1.at);
-        }
-    }
-
-    #[test]
-    fn log_is_bounded() {
-        let (mut sim, flow) = lossy_sim(4);
-        for _ in 0..20 {
-            sim.core_mut().push_data(flow, MSS);
-        }
-        sim.run();
-        assert!(sim.core().packet_log().len() <= 4);
-    }
-
-    /// Regression for the per-delivery `pkt.clone()` the packet log
-    /// used to take: a run with logging enabled — arrivals, drops, and
-    /// deliveries all exercised — must clone zero packets. Also checks
-    /// the arena leaks no slots: every allocation reached a free site.
-    #[test]
-    fn logged_run_clones_no_packets_and_leaks_no_slots() {
-        let (mut sim, flow) = lossy_sim(1024);
-        for _ in 0..8 {
-            sim.core_mut().push_data(flow, MSS);
-        }
-        let clones_before = crate::packet::thread_packet_clones();
-        sim.run();
-        let cloned = crate::packet::thread_packet_clones() - clones_before;
-        assert_eq!(cloned, 0, "hot path must not clone packets");
-        assert!(sim.core().packet_log().iter().any(|e| e.kind == PacketEventKind::Drop));
-        let arena = sim.core().packet_arena();
-        assert!(arena.allocated_total() > 0);
-        assert!(arena.is_empty(), "{} packet slots leaked", arena.live());
     }
 }
 

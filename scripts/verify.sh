@@ -27,6 +27,13 @@ cargo test -q -p tfc-repro --test telemetry
 # suite above; run explicitly so a failure names the gate.)
 cargo test -q -p tfc-repro --test sched_equivalence
 
+# Drop accounting: a switch policy's egress drop is counted in
+# PortStats::policy_drops and logged as pkt_drop (the exported count
+# agrees), and a lossy run with every telemetry channel on clones zero
+# packets and leaks no arena slot.
+cargo test -q -p tfc-repro --test reliability policy_drops
+cargo test -q -p tfc-repro --test reliability logged_run_clones_no_packets
+
 # Multipath regression: ECMP spray, counted no-route drops, and
 # link-down reroute onto surviving equal-cost members.
 cargo test -q -p tfc-repro --test ecmp
@@ -116,11 +123,12 @@ grep "first divergence" "$TRACE_DIR/diffsmoke.out" >/dev/null
 # (heap, wheel) to identical outcomes — including the fat-tree and
 # ECMP-multipath scenarios — and write a well-formed BENCH_scale.json
 # (schema key, host-parallelism manifest, setup time split from
-# simulation time, non-zero events/sec — the binary itself asserts
+# simulation time, non-zero events/sec, the micro block's per-backend
+# queue-churn and token-engine ns/op rows — the binary itself asserts
 # positivity and outcome identity).
 TFC_RESULTS_DIR="$TRACE_DIR" cargo run --release -q -p tfc-bench --bin tfc-scale-bench -- --quick >/dev/null
 test -s "$TRACE_DIR/bench/BENCH_scale.json"
-grep '"schema": "tfc-bench-scale/v7"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"schema": "tfc-bench-scale/v8"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"available_parallelism"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"active_threads"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"setup_ms"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
@@ -128,6 +136,9 @@ grep '"heap_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"wheel_events_per_sec"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"name": "fat_tree"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"name": "fat_tree_multipath"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"micro"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"name": "event_queue_churn/same_tick_storm"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"name": "token_engine_per_packet"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 
 # Streaming smoke: tfc-million --quick validates its sketches against
 # an exact oracle, completes 100k open-loop flows with bounded slab and
@@ -140,7 +151,7 @@ grep '"slab_capacity"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"oracle_classes_checked"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 # The scale-bench rows must survive the merge (and vice versa: a
 # re-run of scale-bench preserves the million block).
-grep '"schema": "tfc-bench-scale/v7"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
+grep '"schema": "tfc-bench-scale/v8"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 grep '"setup_ms"' "$TRACE_DIR/bench/BENCH_scale.json" >/dev/null
 
 # tfc-trace --flows: the per-class retired table must render from the
